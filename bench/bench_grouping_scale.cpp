@@ -20,7 +20,6 @@
 #include "group/Grouping.h"
 #include "profile/AffinityQueue.h"
 #include "profile/LiveObjectMap.h"
-#include "support/Executor.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -195,73 +194,6 @@ int main(int Argc, char **Argv) {
                 "(%zu groups)\n",
                 N, static_cast<unsigned long long>(G.numEdges()), OptMs,
                 Opt.size());
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Sharded grouping: a many-component graph (disjoint power-law islands,
-  // the shape component partitioning exploits) grouped serially and via
-  // buildGroupsParallel at several worker counts. Output identity against
-  // the serial path is asserted in-bench -- a divergence is fatal, not a
-  // slower row.
-  //===--------------------------------------------------------------------===//
-
-  {
-    const uint32_t Components = 512, NodesPer = 64;
-    const uint32_t N = Components * NodesPer;
-    Rng Random(4242);
-    AffinityGraph G;
-    for (uint32_t C = 0; C < Components; ++C) {
-      const uint32_t Base = C * NodesPer;
-      for (uint32_t Node = 0; Node < NodesPer; ++Node) {
-        G.addAccesses(Base + Node, 1 + Random.nextBelow(1000));
-        uint32_t Degree = 1 + static_cast<uint32_t>(Random.nextBelow(6));
-        for (uint32_t E = 0; E < Degree; ++E) {
-          // Hub bias within the island; never an edge across islands.
-          double R = Random.nextDouble();
-          uint32_t Target = static_cast<uint32_t>(R * R * NodesPer);
-          if (Target >= NodesPer || Target == Node)
-            continue;
-          G.addEdgeWeight(Base + Node, Base + Target,
-                          2 + Random.nextBelow(64));
-        }
-      }
-    }
-    GroupingOptions ParOptions = Options;
-    ParOptions.GroupWeightThreshold = 0.0;
-
-    std::vector<Group> Serial;
-    double SerialMs =
-        medianMs(Trials, [&] { Serial = buildGroups(G, ParOptions); });
-    Rows.push_back({"grouping_parallel_serial", N, G.numEdges(), SerialMs,
-                    Trials});
-
-    std::vector<int> JobCounts = {1, 2, 4};
-    int Hw = resolveJobs(0);
-    if (std::find(JobCounts.begin(), JobCounts.end(), Hw) == JobCounts.end())
-      JobCounts.push_back(Hw);
-    std::printf("grouping %6u nodes %7llu edges across %u components: "
-                "serial %8.2f ms (%zu groups)\n",
-                N, static_cast<unsigned long long>(G.numEdges()), Components,
-                SerialMs, Serial.size());
-    for (int Jobs : JobCounts) {
-      Executor Pool(Jobs);
-      std::vector<Group> Par = buildGroupsParallel(G, ParOptions, Pool);
-      if (!sameGroups(Serial, Par)) {
-        std::fprintf(stderr,
-                     "FATAL: parallel grouping (jobs=%d) diverged from "
-                     "serial output\n",
-                     Jobs);
-        return 1;
-      }
-      double ParMs = medianMs(Trials, [&] {
-        Par = buildGroupsParallel(G, ParOptions, Pool);
-      });
-      Rows.push_back({"grouping_parallel_j" + std::to_string(Jobs), N,
-                      G.numEdges(), ParMs, Trials});
-      std::printf("  parallel jobs=%-2d %8.2f ms  (%.2fx vs serial, outputs "
-                  "identical)\n",
-                  Jobs, ParMs, SerialMs / std::max(ParMs, 1e-6));
-    }
   }
 
   //===--------------------------------------------------------------------===//

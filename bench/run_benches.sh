@@ -8,7 +8,7 @@
 #     baseline) / replay_batched_* (the in-tree batched Runtime::replay --
 #     the row set that tracks the batching win per PR) plus the
 #     out-of-core trace_stream_* rows (record-to-disk, mapped vs in-RAM
-#     replay, sharded-from-blocks; each carries an "rss_kb" peak-RSS
+#     replay; each carries an "rss_kb" peak-RSS
 #     column, and HALO_BENCH_TRACE_EVENTS sizes the synthetic trace).
 #   BENCH_machines.json  {"bench", "machine", "kind", "wall_ms", "trials"}
 #     (+ l1d_misses / tlb_misses / speedup_percent detail fields), the

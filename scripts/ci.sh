@@ -120,11 +120,7 @@ serve_smoke "$BUILD"
 echo "== sanitized: ASan+UBSan build + ctest ($SAN_BUILD) =="
 cmake -B "$SAN_BUILD" -S "$ROOT" -DHALO_SANITIZE=ON
 cmake --build "$SAN_BUILD" -j
-# Twice: the parallel-equivalence suites pin their "hardware" jobs count
-# to HALO_TEST_JOBS, so both replay/grouping axis choices (serial outer
-# vs sharded inner) soak under the sanitizers.
-HALO_TEST_JOBS=1 ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS"
-HALO_TEST_JOBS="$(nproc)" ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS"
+ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS"
 
 echo "== sanitized: store warm/cold smoke =="
 store_smoke "$SAN_BUILD"

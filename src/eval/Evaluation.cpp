@@ -5,7 +5,6 @@
 #include "mem/BoundaryTagAllocator.h"
 #include "mem/RandomPoolAllocator.h"
 #include "mem/SizeClassAllocator.h"
-#include "runtime/ShardedReplay.h"
 #include "support/Executor.h"
 #include "support/Stats.h"
 
@@ -47,7 +46,7 @@ Evaluation::Evaluation(BenchmarkSetup SetupIn) : Setup(std::move(SetupIn)) {
   W->build(Prog);
 }
 
-const HaloArtifacts &Evaluation::haloArtifacts(Executor *GroupPool) {
+const HaloArtifacts &Evaluation::haloArtifacts() {
   // One mutex per artifact kind: concurrent plans sharing this Evaluation
   // (the serve daemon's steady state) materialise once and the losers
   // wait, while the HALO and HDS pipelines still profile in parallel
@@ -57,7 +56,7 @@ const HaloArtifacts &Evaluation::haloArtifacts(Executor *GroupPool) {
   if (!HaloArt)
     HaloArt = optimizeBinary(Prog,
                              trace(Setup.ProfileScale, Setup.ProfileSeed),
-                             Setup.Halo, Setup.Machine, GroupPool);
+                             Setup.Halo, Setup.Machine);
   return *HaloArt;
 }
 
@@ -229,23 +228,6 @@ RunMetrics Evaluation::measure(const MachineConfig &Machine,
   const EventTrace &Trace = trace(S, Seed);
   return measureWith(Machine, Kind, Seed,
                      [&](Runtime &RT) { RT.replay(Trace); });
-}
-
-RunMetrics Evaluation::measure(const MachineConfig &Machine,
-                               AllocatorKind Kind, Scale S, uint64_t Seed,
-                               Executor *ShardPool) {
-  if (!ShardPool)
-    return measure(Machine, Kind, S, Seed);
-  if (usesMappedReplay(S, Seed)) {
-    const MappedTrace &Trace = mappedTrace(S, Seed);
-    return measureWith(Machine, Kind, Seed, [&](Runtime &RT) {
-      shardedReplay(RT, Trace, *ShardPool);
-    });
-  }
-  const EventTrace &Trace = trace(S, Seed);
-  return measureWith(Machine, Kind, Seed, [&](Runtime &RT) {
-    shardedReplay(RT, Trace, *ShardPool);
-  });
 }
 
 RunMetrics Evaluation::measureDirect(AllocatorKind Kind, Scale S,

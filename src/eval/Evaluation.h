@@ -95,12 +95,8 @@ public:
   explicit Evaluation(BenchmarkSetup Setup);
 
   /// The HALO pipeline output (profiled lazily, once, by replaying the
-  /// profile-scale trace). \p GroupPool, when non-null, parallelizes the
-  /// grouping stage across connected components (buildGroupsParallel) --
-  /// artifacts bit-identical at every jobs count. runPlan passes its pool
-  /// through when the artifact stage runs serially (fewer tasks than
-  /// workers), so single-benchmark plans scale their grouping too.
-  const HaloArtifacts &haloArtifacts(Executor *GroupPool = nullptr);
+  /// profile-scale trace).
+  const HaloArtifacts &haloArtifacts();
 
   /// The hot-data-streams pipeline output (profiled lazily, once, from the
   /// same recording the HALO pipeline uses).
@@ -207,16 +203,6 @@ public:
   /// is the cross-machine sweep primitive (halo_cli sweep).
   RunMetrics measure(const MachineConfig &Machine, AllocatorKind Kind,
                      Scale S, uint64_t Seed);
-
-  /// Same, replaying through shardedReplay on \p ShardPool (null degrades
-  /// to the serial overload): the trace's memory simulation fans out
-  /// across the pool's workers while the metrics stay bit-identical (the
-  /// "sharded = serial" contract; see runtime/ShardedReplay.h). This is
-  /// how a plan with fewer replay tasks than workers -- a single
-  /// run/baseline/hds cell, say -- still scales with --jobs. Call it from
-  /// one thread at a time per pool: the pool is the parallelism.
-  RunMetrics measure(const MachineConfig &Machine, AllocatorKind Kind,
-                     Scale S, uint64_t Seed, Executor *ShardPool);
 
   /// Reference path: measures by executing the workload model directly,
   /// without any trace. Kept as the oracle replay is tested against.

@@ -451,7 +451,7 @@ void PlanExecution::obtainTrace(const ExperimentPlan::Benchmark &B, Scale S,
     putTrace(*Store, Key, Trace);
 }
 
-void PlanExecution::runArtifact(const TaskData &Task, Executor *GroupPool) {
+void PlanExecution::runArtifact(const TaskData &Task) {
   ArtifactStore *Store = Plan.Store;
   Evaluation &E = *Task.B->Eval;
   const BenchmarkSetup &Setup = E.setup();
@@ -467,7 +467,7 @@ void PlanExecution::runArtifact(const TaskData &Task, Executor *GroupPool) {
         return;
       }
     }
-    const HaloArtifacts &Art = E.haloArtifacts(GroupPool);
+    const HaloArtifacts &Art = E.haloArtifacts();
     if (Store)
       putHaloArtifacts(*Store, Key, Art);
   } else {
@@ -487,16 +487,16 @@ void PlanExecution::runArtifact(const TaskData &Task, Executor *GroupPool) {
   }
 }
 
-void PlanExecution::runReplay(const TaskData &Task, Executor *ShardPool) {
+void PlanExecution::runReplay(const TaskData &Task) {
   const ExperimentPlan::Cell &PC = Plan.Cells[Task.Cell];
   Evaluation &E = *Plan.Benchmarks[PC.Bench].Eval;
   uint64_t Seed = PC.SeedBase + static_cast<uint64_t>(Task.Trial);
   const MachineConfig &M = PC.Machine ? *PC.Machine : E.setup().Machine;
   Results.Cells[Task.Cell].Runs[static_cast<size_t>(Task.Trial)] =
-      E.measure(M, PC.Kind, PC.S, Seed, ShardPool);
+      E.measure(M, PC.Kind, PC.S, Seed);
 }
 
-void PlanExecution::execute(const TaskData &T, Executor *NestedPool) {
+void PlanExecution::execute(const TaskData &T) {
   switch (T.Stage) {
   case 0: {
     const BenchmarkSetup &Setup = T.B->Eval->setup();
@@ -505,21 +505,21 @@ void PlanExecution::execute(const TaskData &T, Executor *NestedPool) {
     break;
   }
   case 1:
-    runArtifact(T, NestedPool);
+    runArtifact(T);
     break;
   case 2:
     obtainTrace(*T.B, T.S, T.Seed, T.Stored, /*Profile=*/false);
     break;
   default:
-    runReplay(T, NestedPool);
+    runReplay(T);
     break;
   }
 }
 
-void PlanExecution::run(size_t Task, Executor *NestedPool) {
+void PlanExecution::run(size_t Task) {
   const TaskData &T = Tasks[Task];
   try {
-    execute(T, NestedPool);
+    execute(T);
     if (T.Stage == 3) {
       bool CellDone;
       {
@@ -590,7 +590,7 @@ bool PlanExecution::finished() const {
 // runPlan
 //===----------------------------------------------------------------------===//
 
-ResultSet halo::runPlan(ExperimentPlan &Plan, int Jobs, ReplayMode Mode,
+ResultSet halo::runPlan(ExperimentPlan &Plan, int Jobs, ReplayMode,
                         TraceMode Traces, CellCompletionFn OnCell) {
   PlanExecution Exec(Plan, Traces, std::move(OnCell));
   // One pool drives all four stages; the stage task lists are flat across
@@ -605,32 +605,7 @@ ResultSet halo::runPlan(ExperimentPlan &Plan, int Jobs, ReplayMode Mode,
       Batch.push_back(*T);
     if (Batch.empty())
       break;
-    unsigned Stage = Exec.stage(Batch.front());
-
-    // The pool runs one batch at a time (a nested parallelFor inlines
-    // serially), so each stage commits to one parallel axis: across its
-    // tasks, or within each task with the list walked serially here.
-    // The artifact stage hands the pool to the HALO pipeline's grouping
-    // (buildGroupsParallel) when its tasks alone cannot fill it; the
-    // replay stage shards within each trace under ReplayMode::Sharded,
-    // or in Auto exactly when the task list would leave workers idle --
-    // the 1x1x1 plans behind halo_cli run/baseline/hds being the
-    // motivating case. Either axis yields bit-identical results.
-    bool WalkSerially = false;
-    if (Stage == 1)
-      WalkSerially = Batch.size() < static_cast<size_t>(Pool.workers());
-    else if (Stage == 3)
-      WalkSerially =
-          Mode == ReplayMode::Sharded ||
-          (Mode == ReplayMode::Auto &&
-           Batch.size() < static_cast<size_t>(Pool.workers()));
-    if (WalkSerially) {
-      for (size_t T : Batch)
-        Exec.run(T, &Pool);
-    } else {
-      Pool.parallelFor(Batch.size(),
-                       [&](size_t I) { Exec.run(Batch[I], nullptr); });
-    }
+    Pool.parallelFor(Batch.size(), [&](size_t I) { Exec.run(Batch[I]); });
   }
   return Exec.take();
 }

@@ -4,7 +4,6 @@
 
 #include "graph/Adjacency.h"
 #include "support/BinaryIO.h"
-#include "support/Executor.h"
 
 #include <algorithm>
 #include <cassert>
@@ -151,17 +150,12 @@ halo::buildGroupsReference(const AffinityGraph &Input,
 
 namespace {
 
-/// Runs the incremental grouping loop over \p Subset (ascending dense
-/// indices into \p Adj) and appends every kept group to \p Out. The scratch
-/// arrays are full-graph-sized (indexed by dense id) and must arrive
-/// all-zero; they are returned all-zero, so one pair serves any number of
-/// consecutive subsets. buildGroups passes every node as one subset;
-/// buildGroupsParallel passes one connected component per call.
-void runIncremental(const AdjacencySnapshot &Adj,
-                    const std::vector<uint32_t> &Subset,
-                    const GroupingOptions &Options, double MinWeight,
-                    std::vector<uint64_t> &WeightToGroup,
-                    std::vector<char> &Avail, std::vector<Group> &Out) {
+/// Runs the incremental grouping loop over every node of \p Adj and returns
+/// the kept groups, unsorted (finalizeGroups orders them).
+std::vector<Group> runIncremental(const AdjacencySnapshot &Adj,
+                                  const GroupingOptions &Options,
+                                  double MinWeight) {
+  const uint32_t N = Adj.numNodes();
   // One-time weight-sorted edge list over dense indices. Dense order equals
   // id order, so (Weight desc, U asc, V asc) reproduces the reference's
   // pick: maximum weight, first in (U, V) order among ties.
@@ -170,7 +164,7 @@ void runIncremental(const AdjacencySnapshot &Adj,
     uint32_t U, V; ///< Dense, U <= V; U == V encodes a loop.
   };
   std::vector<SortedEdge> EdgeList;
-  for (uint32_t U : Subset) {
+  for (uint32_t U = 0; U < N; ++U) {
     if (Adj.loopWeight(U) > 0)
       EdgeList.push_back({Adj.loopWeight(U), U, U});
     Span<uint32_t> Row = Adj.neighbors(U);
@@ -193,12 +187,13 @@ void runIncremental(const AdjacencySnapshot &Adj,
   // are compacted lazily as members are consumed.
   std::vector<uint32_t> LoopNodes;
   std::vector<uint32_t> NoLoopNodes;
-  for (uint32_t Dense : Subset)
+  for (uint32_t Dense = 0; Dense < N; ++Dense)
     (Adj.loopWeight(Dense) > 0 ? LoopNodes : NoLoopNodes).push_back(Dense);
 
-  for (uint32_t Dense : Subset)
-    Avail[Dense] = 1;
-  uint32_t AvailCount = static_cast<uint32_t>(Subset.size());
+  std::vector<uint64_t> WeightToGroup(N, 0);
+  std::vector<char> Avail(N, 1);
+  std::vector<Group> Out;
+  uint32_t AvailCount = N;
   size_t NoLoopCursor = 0; ///< Consumed prefix of NoLoopNodes; monotone.
   size_t Cursor = 0;       ///< Into EdgeList; only ever advances.
 
@@ -341,31 +336,7 @@ void runIncremental(const AdjacencySnapshot &Adj,
       WeightToGroup[T] = 0;
   }
 
-  // Hand the scratch back all-zero for the next subset (nodes the edge
-  // cursor never consumed are still flagged available).
-  for (uint32_t Dense : Subset)
-    Avail[Dense] = 0;
-}
-
-/// True when MergeTolerance is low enough that a candidate with no edge
-/// into the group can never win a merge step, making grouping exactly
-/// component-local (the condition buildGroupsParallel's sharding needs).
-///
-/// With the Figure 7 score W / (loops + pairs), a zero-connecting-weight
-/// candidate's benefit exceeds 0 only when T > k / (L + 1 + p(k+1)) for
-/// some reachable group state (k members, L <= k member loops, p(n) =
-/// n(n-1)/2). The minimum over L is at L = k: f(k) = k / (k+1+k(k+1)/2),
-/// non-increasing in k, so the binding case is the largest growable group,
-/// k = MaxGroupMembers - 1 (f(15) ~ 0.1103 at the default 16 members,
-/// above the paper's T = 0.05). The 0.999 margin keeps floating-point
-/// rounding in the benefit comparison on the safe side of the bound.
-bool parallelGroupingIsExact(const GroupingOptions &Options) {
-  if (Options.MaxGroupMembers <= 1)
-    return true; // Groups never grow past their seed.
-  uint64_t K = Options.MaxGroupMembers - 1;
-  double Bound =
-      static_cast<double>(K) / static_cast<double>(K + 1 + K * (K + 1) / 2);
-  return Options.MergeTolerance <= 0.999 * Bound;
+  return Out;
 }
 
 } // namespace
@@ -375,129 +346,11 @@ std::vector<Group> halo::buildGroups(const AffinityGraph &Input,
   AffinityGraph Graph = Input;
   Graph.removeLightEdges(Options.MinEdgeWeight);
   AdjacencySnapshot Adj = Graph.buildAdjacency();
-  const uint32_t N = Adj.numNodes();
-  if (N == 0)
-    return {};
-
-  std::vector<uint32_t> AllNodes(N);
-  for (uint32_t Dense = 0; Dense < N; ++Dense)
-    AllNodes[Dense] = Dense;
-  std::vector<uint64_t> WeightToGroup(N, 0);
-  std::vector<char> Avail(N, 0);
-  std::vector<Group> Groups;
-  runIncremental(Adj, AllNodes, Options,
-                 Options.GroupWeightThreshold *
-                     static_cast<double>(Graph.totalAccesses()),
-                 WeightToGroup, Avail, Groups);
-  return finalizeGroups(std::move(Groups), Options);
-}
-
-std::vector<Group> halo::buildGroupsParallel(const AffinityGraph &Input,
-                                             const GroupingOptions &Options,
-                                             Executor &Pool) {
-  AffinityGraph Graph = Input;
-  Graph.removeLightEdges(Options.MinEdgeWeight);
-  AdjacencySnapshot Adj = Graph.buildAdjacency();
-  const uint32_t N = Adj.numNodes();
-  if (N == 0)
-    return {};
-  const double MinWeight = Options.GroupWeightThreshold *
-                           static_cast<double>(Graph.totalAccesses());
-
-  if (!parallelGroupingIsExact(Options)) {
-    // Tolerance above the component-locality bound: groups could span
-    // components, so shard-and-stitch would diverge. One serial task keeps
-    // the output contract (bit-identical to buildGroups) at the cost of
-    // the parallelism.
-    std::vector<uint32_t> AllNodes(N);
-    for (uint32_t Dense = 0; Dense < N; ++Dense)
-      AllNodes[Dense] = Dense;
-    std::vector<uint64_t> WeightToGroup(N, 0);
-    std::vector<char> Avail(N, 0);
-    std::vector<Group> Groups;
-    runIncremental(Adj, AllNodes, Options, MinWeight, WeightToGroup, Avail,
-                   Groups);
-    return finalizeGroups(std::move(Groups), Options);
-  }
-
-  // Union-find over the snapshot (path halving, as buildComponentGroups).
-  std::vector<uint32_t> Parent(N);
-  for (uint32_t Dense = 0; Dense < N; ++Dense)
-    Parent[Dense] = Dense;
-  auto Find = [&](uint32_t Node) {
-    while (Parent[Node] != Node) {
-      Parent[Node] = Parent[Parent[Node]];
-      Node = Parent[Node];
-    }
-    return Node;
-  };
-  for (uint32_t U = 0; U < N; ++U)
-    for (uint32_t Nb : Adj.neighbors(U))
-      Parent[Find(U)] = Find(Nb);
-
-  // Components in first-appearance (ascending dense) order; their node
-  // lists come out ascending for free. Isolated loop-free nodes can never
-  // seed or join a group, so they are skipped outright. Singleton nodes
-  // with a loop edge stay: the reference seeds a group from a loop edge.
-  constexpr uint32_t NoComp = AdjacencySnapshot::InvalidDense;
-  std::vector<uint32_t> CompOf(N, NoComp);
-  std::vector<std::vector<uint32_t>> CompNodes;
-  std::vector<uint64_t> CompMass; ///< Degree mass, for bucket balancing.
-  for (uint32_t Dense = 0; Dense < N; ++Dense) {
-    if (Adj.degree(Dense) == 0 && Adj.loopWeight(Dense) == 0)
-      continue;
-    uint32_t Root = Find(Dense);
-    if (CompOf[Root] == NoComp) {
-      CompOf[Root] = static_cast<uint32_t>(CompNodes.size());
-      CompNodes.emplace_back();
-      CompMass.push_back(0);
-    }
-    CompNodes[CompOf[Root]].push_back(Dense);
-    CompMass[CompOf[Root]] += Adj.degree(Dense) + 1;
-  }
-  const size_t NumComps = CompNodes.size();
-  if (NumComps == 0)
-    return {};
-
-  // Contiguous component ranges balanced by degree mass, one Executor task
-  // each. Contiguity makes the merge a concatenation in component order;
-  // the scratch arrays live inside the task so peak memory scales with the
-  // workers actually running, not the bucket count.
-  const size_t BucketGoal =
-      std::min(NumComps, static_cast<size_t>(Pool.workers()) * 4);
-  uint64_t TotalMass = 0;
-  for (uint64_t Mass : CompMass)
-    TotalMass += Mass;
-  const uint64_t MassPerBucket =
-      (TotalMass + BucketGoal - 1) / BucketGoal;
-  std::vector<std::pair<size_t, size_t>> Buckets; ///< [begin, end) comps.
-  for (size_t Begin = 0; Begin < NumComps;) {
-    size_t End = Begin;
-    uint64_t Mass = 0;
-    while (End < NumComps && (End == Begin || Mass < MassPerBucket))
-      Mass += CompMass[End++];
-    Buckets.emplace_back(Begin, End);
-    Begin = End;
-  }
-
-  std::vector<std::vector<Group>> BucketGroups(Buckets.size());
-  Pool.parallelFor(Buckets.size(), [&](size_t B) {
-    std::vector<uint64_t> WeightToGroup(N, 0);
-    std::vector<char> Avail(N, 0);
-    for (size_t C = Buckets[B].first; C < Buckets[B].second; ++C)
-      runIncremental(Adj, CompNodes[C], Options, MinWeight, WeightToGroup,
-                     Avail, BucketGroups[B]);
-  });
-
-  // Deterministic stitch: concatenate in component order. The pre-sort
-  // order is immaterial to the output -- finalizeGroups' popularity sort
-  // is a strict total order (member sets are disjoint) -- but a
-  // deterministic merge keeps intermediate state reproducible too.
-  std::vector<Group> Groups;
-  for (std::vector<Group> &FromBucket : BucketGroups)
-    for (Group &G : FromBucket)
-      Groups.push_back(std::move(G));
-  return finalizeGroups(std::move(Groups), Options);
+  return finalizeGroups(
+      runIncremental(Adj, Options,
+                     Options.GroupWeightThreshold *
+                         static_cast<double>(Graph.totalAccesses())),
+      Options);
 }
 
 std::vector<Group> halo::buildComponentGroups(const AffinityGraph &Input,
@@ -560,11 +413,12 @@ void halo::saveGroups(const std::vector<Group> &Groups, BinaryWriter &W) {
 
 std::vector<Group> halo::loadGroups(BinaryReader &R) {
   std::vector<Group> Groups;
-  uint64_t Count = R.varint();
+  // A group is at least its member count, weight, and accesses varints.
+  uint64_t Count = R.count(3);
   Groups.reserve(static_cast<size_t>(Count));
   for (uint64_t I = 0; I < Count; ++I) {
     Group G;
-    uint64_t Members = R.varint();
+    uint64_t Members = R.count(1);
     G.Members.reserve(static_cast<size_t>(Members));
     for (uint64_t J = 0; J < Members; ++J) {
       uint64_t Member = R.varint();

@@ -26,8 +26,6 @@
 
 namespace halo {
 
-class Executor;
-
 /// Tuning knobs of Figure 6 plus the artefact's --max-groups flag.
 // (BinaryWriter/BinaryReader come in via graph/AffinityGraph.h's forward
 // declarations; saveGroups/loadGroups below use them.)
@@ -71,28 +69,6 @@ double mergeBenefit(const AffinityGraph &Graph,
 /// to buildGroupsReference; bench/bench_grouping_scale measures the gap.
 std::vector<Group> buildGroups(const AffinityGraph &Graph,
                                const GroupingOptions &Options);
-
-/// buildGroups sharded by connected component on \p Pool: a union-find over
-/// the CSR snapshot partitions the thresholded graph, components are grouped
-/// in parallel as independent Executor tasks (each running the same
-/// incremental core buildGroups runs), and the per-component group lists are
-/// stitched in first-appearance component order before the one global
-/// popularity sort. Output is bit-identical to buildGroups (and so to
-/// buildGroupsReference) at every jobs count.
-///
-/// Exactness rests on a tolerance bound: with the Figure 7 score
-/// W / (loops + pairs), a candidate with no edge into the group beats the
-/// empty benefit only when T > k / (L + 1 + p(k+1)) for a group of k
-/// members with L member loops -- minimized at L = k, giving
-/// f(k) = k / (k + 1 + k(k+1)/2), non-increasing in k. Whenever
-/// MergeTolerance <= 0.999 * f(MaxGroupMembers - 1) (~0.1103 at the default
-/// 16 members, comfortably above the paper's T = 0.05), groups can never
-/// span components and per-component grouping is exact. Options outside the
-/// bound fall back to one serial task -- still bit-identical, just not
-/// parallel.
-std::vector<Group> buildGroupsParallel(const AffinityGraph &Graph,
-                                       const GroupingOptions &Options,
-                                       Executor &Pool);
 
 /// The direct transliteration of Figure 6 (rescans all edges per group and
 /// rescores the whole union per merge candidate). Kept as the semantic

@@ -84,11 +84,12 @@ HdsArtifacts halo::loadHdsArtifacts(BinaryReader &R) {
     throw SerializationError("hds artifacts: unknown format version " +
                              std::to_string(Version));
   HdsArtifacts Art;
-  uint64_t NumStreams = R.varint();
+  // A stream is at least its element count, frequency, and heat varints.
+  uint64_t NumStreams = R.count(3);
   Art.Analysis.Streams.reserve(static_cast<size_t>(NumStreams));
   for (uint64_t I = 0; I < NumStreams; ++I) {
     HotStream Stream;
-    uint64_t NumElements = R.varint();
+    uint64_t NumElements = R.count(1);
     Stream.Elements.reserve(static_cast<size_t>(NumElements));
     for (uint64_t J = 0; J < NumElements; ++J) {
       uint64_t Element = R.varint();
@@ -103,11 +104,12 @@ HdsArtifacts halo::loadHdsArtifacts(BinaryReader &R) {
   Art.Analysis.TraceLength = R.varint();
   Art.Analysis.GrammarRules = R.varint();
   Art.Analysis.CandidateStreams = R.varint();
-  uint64_t NumGroups = R.varint();
+  // A co-allocation set is at least its site count and an f64 benefit.
+  uint64_t NumGroups = R.count(9);
   Art.Groups.reserve(static_cast<size_t>(NumGroups));
   for (uint64_t I = 0; I < NumGroups; ++I) {
     CoAllocationSet Set;
-    uint64_t NumSites = R.varint();
+    uint64_t NumSites = R.count(1);
     Set.Sites.reserve(static_cast<size_t>(NumSites));
     for (uint64_t J = 0; J < NumSites; ++J) {
       uint64_t Site = R.varint();

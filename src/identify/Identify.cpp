@@ -145,15 +145,15 @@ CallSiteId readSiteId(BinaryReader &R, const char *What) {
 
 IdentificationResult halo::loadIdentification(BinaryReader &R) {
   IdentificationResult Result;
-  uint64_t NumSelectors = R.varint();
+  uint64_t NumSelectors = R.count(1);
   Result.Selectors.reserve(static_cast<size_t>(NumSelectors));
   for (uint64_t I = 0; I < NumSelectors; ++I) {
     Selector Sel;
-    uint64_t NumTerms = R.varint();
+    uint64_t NumTerms = R.count(1);
     Sel.Terms.reserve(static_cast<size_t>(NumTerms));
     for (uint64_t J = 0; J < NumTerms; ++J) {
       Conjunction Term;
-      uint64_t NumSites = R.varint();
+      uint64_t NumSites = R.count(1);
       Term.Sites.reserve(static_cast<size_t>(NumSites));
       for (uint64_t K = 0; K < NumSites; ++K)
         Term.Sites.push_back(readSiteId(R, "identification selector"));
@@ -161,7 +161,7 @@ IdentificationResult halo::loadIdentification(BinaryReader &R) {
     }
     Result.Selectors.push_back(std::move(Sel));
   }
-  uint64_t NumSites = R.varint();
+  uint64_t NumSites = R.count(1);
   Result.Sites.reserve(static_cast<size_t>(NumSites));
   for (uint64_t I = 0; I < NumSites; ++I)
     Result.Sites.push_back(readSiteId(R, "identification sites"));

@@ -109,18 +109,7 @@ public:
   /// for profiling runs where only the event stream matters).
   void setMemory(MemoryHierarchy *Hierarchy) { Memory = Hierarchy; }
 
-  /// The attached hierarchy, or null. The sharded replay driver detaches it
-  /// for its serial prepass and credits it during the stitch.
-  MemoryHierarchy *memory() const { return Memory; }
-
   void addObserver(RuntimeObserver *Observer);
-
-  /// Detaches a previously added observer (most-recently-added or not);
-  /// re-derives the devirtualized sole-observer hook. No-op if \p Observer
-  /// was never attached.
-  void removeObserver(RuntimeObserver *Observer);
-
-  bool hasObservers() const { return !Observers.empty(); }
 
   // -- Control flow ------------------------------------------------------
   /// Simulates a call through \p Site; pair with leave().

@@ -74,7 +74,7 @@ namespace {
 constexpr uint64_t MaxWireCount = 1u << 16;
 
 uint64_t boundedCount(BinaryReader &R, const char *What) {
-  uint64_t N = R.varint();
+  uint64_t N = R.count(1);
   if (N > MaxWireCount)
     throw ProtocolError(std::string(What) + " count " + std::to_string(N) +
                         " exceeds the protocol bound");

@@ -36,8 +36,6 @@ Cache::Cache(const CacheConfig &Config) : Config(Config) {
   initEmptyClocks();
   Mru.assign(Sets, 0);
   MruTag.assign(Sets, InvalidTag);
-  Mru2.assign(Sets, 0);
-  MruTag2.assign(Sets, InvalidTag);
 }
 
 void Cache::initEmptyClocks() {
@@ -64,7 +62,5 @@ void Cache::reset() {
   initEmptyClocks();
   Mru.assign(Sets, 0);
   MruTag.assign(Sets, InvalidTag);
-  Mru2.assign(Sets, 0);
-  MruTag2.assign(Sets, InvalidTag);
   Hits = Misses = 0;
 }

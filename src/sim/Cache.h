@@ -82,32 +82,6 @@ public:
     return scanInsert(Set, Tag);
   }
 
-  /// Two-deep variant of mruHit(): probes the most-recently-hit way and
-  /// then the second-most-recently-hit way before giving up. A second-probe
-  /// hit swaps the two hints (the touched way becomes most recent). Hit and
-  /// miss outcomes are bit-identical to mruHit() + accessSlow() -- the
-  /// hints only short-circuit the way scan -- so either probe depth may
-  /// serve any access stream. Measured head-to-head in bench_replay's
-  /// mru_probe microbench; see ROADMAP for the verdict on the default
-  /// hierarchy path. Single-way caches never maintain the second hint and
-  /// degenerate to mruHit().
-  bool mruHit2(uint64_t Addr) {
-    auto [Set, Tag] = locate(Addr);
-    if (MruTag[Set] == Tag) {
-      Slots[uint64_t(Set) * Config.Ways + Mru[Set]].Use = ++Clock;
-      ++Hits;
-      return true;
-    }
-    if (MruTag2[Set] == Tag) {
-      Slots[uint64_t(Set) * Config.Ways + Mru2[Set]].Use = ++Clock;
-      ++Hits;
-      std::swap(Mru[Set], Mru2[Set]);
-      std::swap(MruTag[Set], MruTag2[Set]);
-      return true;
-    }
-    return false;
-  }
-
   /// Hints the host CPU to pull the set metadata \p Addr maps to into its
   /// own caches. Semantics-free (no counter, clock, or content changes):
   /// purely a host-side latency hint, used by the batched access path to
@@ -124,16 +98,6 @@ public:
 #else
     (void)Addr;
 #endif
-  }
-
-  /// Folds externally simulated outcomes into this level's hit/miss
-  /// counters without touching content or replacement state. Sharded trace
-  /// replay simulates the L1 and TLB per shard on private state and credits
-  /// the stitched totals here, so counters() reports exactly what a serial
-  /// replay would have counted even though this level's content stayed cold.
-  void credit(uint64_t ExtraHits, uint64_t ExtraMisses) {
-    Hits += ExtraHits;
-    Misses += ExtraMisses;
   }
 
   /// Returns true if the line containing \p Addr is currently cached,
@@ -197,16 +161,6 @@ private:
   bool scanInsert(uint32_t Set, uint64_t Tag) {
     assert(Tag != InvalidTag && "address saturates the tag space");
     ++Clock;
-    // The scan always lands on a way other than the current MRU (the probe
-    // already ruled its tag out), so the old MRU demotes to the second
-    // hint. The MRU way holds the set's newest use clock, hence with two
-    // or more ways it is never the eviction victim and the demoted hint
-    // stays consistent with its slot; a single-way cache would demote its
-    // own victim, so it keeps the second hint permanently invalid.
-    if (Config.Ways > 1) {
-      Mru2[Set] = Mru[Set];
-      MruTag2[Set] = MruTag[Set];
-    }
     Slot *Begin = &Slots[uint64_t(Set) * Config.Ways];
     Slot *const End = Begin + Config.Ways;
     Slot *Victim = Begin;
@@ -247,12 +201,6 @@ private:
   /// wherever Mru changes or the MRU way's tag does. Same hint, laid out
   /// so the probe's compare needs no dependent slot lookup.
   std::vector<uint64_t> MruTag;
-  /// Second-most-recently-hit way and its tag, by set: the extra probe
-  /// depth mruHit2() offers. Maintained by demotion in scanInsert() (two
-  /// plain stores on the already-slow scan path), so the hint exists
-  /// whether or not the caller ever probes it.
-  std::vector<uint8_t> Mru2;
-  std::vector<uint64_t> MruTag2;
   uint64_t Clock = 0;
   uint64_t Hits = 0;
   uint64_t Misses = 0;

@@ -89,30 +89,6 @@ public:
   MemoryCounters counters() const;
   void reset();
 
-  const HierarchyConfig &config() const { return Config; }
-
-  /// Completes a line access that already missed the L1 (and was TLB-
-  /// translated) somewhere else: looks the line up in the L2, then the L3,
-  /// updating their content and counters exactly as the serial miss path
-  /// does, and returns the beyond-L1 latency (L2Hit, L3Hit, or Memory).
-  /// Neither the L1/TLB counters nor the stall total move -- the caller
-  /// owns those via creditL1/creditTlb/addStallCycles. Sharded trace
-  /// replay simulates the L1 and TLB per shard on private state and then
-  /// stitches by driving every surviving L1 miss line through here in
-  /// trace order, so the L2/L3 see the exact access sequence a serial
-  /// replay would have sent them.
-  uint64_t accessBeyondL1(uint64_t LineAddr);
-
-  /// Counter credits for the stitch (see Cache::credit): the L1/TLB
-  /// content stays cold, only the reported totals move.
-  void creditL1(uint64_t ExtraHits, uint64_t ExtraMisses) {
-    L1.credit(ExtraHits, ExtraMisses);
-  }
-  void creditTlb(uint64_t ExtraHits, uint64_t ExtraMisses) {
-    Dtlb.credit(ExtraHits, ExtraMisses);
-  }
-  void addStallCycles(uint64_t Cycles) { Stalls += Cycles; }
-
   const Cache &l1() const { return L1; }
   const Cache &l2() const { return L2; }
   const Cache &l3() const { return L3; }

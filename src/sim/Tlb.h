@@ -40,19 +40,6 @@ public:
   uint64_t misses() const { return Entries.misses(); }
   void reset() { Entries.reset(); }
 
-  /// Folds externally simulated translation outcomes into the counters
-  /// without touching TLB content (see Cache::credit).
-  void credit(uint64_t ExtraHits, uint64_t ExtraMisses) {
-    Entries.credit(ExtraHits, ExtraMisses);
-  }
-
-  /// Geometry of the underlying translation cache (LineSize is the page
-  /// size). Sharded replay mirrors this in its private per-shard TLB
-  /// simulation so its translation decisions match this model's bit for
-  /// bit.
-  const CacheConfig &config() const { return Entries.config(); }
-  uint32_t numSets() const { return Entries.numSets(); }
-
 private:
   Cache Entries;
 };

@@ -53,7 +53,8 @@ class EventTrace;
 /// decoding under wrong assumptions.
 ///
 /// v2: traces use the block-compressed on-disk format (trace/TraceFile.h).
-constexpr uint32_t StoreSchemaVersion = 2;
+/// v3: trace footers drop the per-block first-object/first-realloc seeds.
+constexpr uint32_t StoreSchemaVersion = 3;
 
 /// What an entry holds; part of the key, so the same (benchmark, scale,
 /// seed) coordinate never collides across domains.

@@ -126,6 +126,19 @@ public:
     throw SerializationError("varint longer than 64 bits");
   }
 
+  /// An element count: a varint that the rest of the buffer must be able
+  /// to hold at \p MinBytesPerElement bytes each. Decoders read every
+  /// count through this before reserving, so a hostile count throws
+  /// SerializationError instead of std::length_error or std::bad_alloc.
+  uint64_t count(uint64_t MinBytesPerElement) {
+    uint64_t N = varint();
+    if (MinBytesPerElement && N > remaining() / MinBytesPerElement)
+      throw SerializationError("count " + std::to_string(N) +
+                               " exceeds the remaining " +
+                               std::to_string(remaining()) + " bytes");
+    return N;
+  }
+
   double f64() {
     uint64_t Bits = u64();
     double V;

@@ -71,8 +71,8 @@ public:
   /// at a time: a task that calls back into its own Executor gets an
   /// inline serial loop on its thread (the batch bookkeeping is a
   /// per-batch singleton, so nested dispatch cannot share the pool), which
-  /// keeps composed parallel stages -- e.g. a sharded replay inside a plan
-  /// task -- deadlock-free without a second scheduling policy.
+  /// keeps composed parallel stages deadlock-free without a second
+  /// scheduling policy.
   void parallelFor(size_t Count, const std::function<void(size_t)> &Fn);
 
 private:

@@ -75,10 +75,12 @@ void ContextTable::save(BinaryWriter &W) const {
 
 ContextTable ContextTable::load(BinaryReader &R) {
   ContextTable Table;
-  uint64_t Count = R.varint();
+  // A context is at least its frame count and allocations varints, and a
+  // frame is a function and a site varint.
+  uint64_t Count = R.count(2);
   for (uint64_t I = 0; I < Count; ++I) {
     Context Frames;
-    uint64_t NumFrames = R.varint();
+    uint64_t NumFrames = R.count(2);
     Frames.reserve(static_cast<size_t>(NumFrames));
     for (uint64_t J = 0; J < NumFrames; ++J) {
       CallFrame F;

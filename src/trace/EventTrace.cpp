@@ -161,8 +161,7 @@ void EventTrace::flushSinkBlock() {
   // record* methods count a record only after emit() returns, and the
   // flush runs before emit() appends, so the buffer here is exactly the
   // whole records the counters describe.
-  Sink->addBlock(Buffer.data(), Buffer.size(), Counts.total(), Objects,
-                 Counts.Reallocs);
+  Sink->addBlock(Buffer.data(), Buffer.size(), Counts.total());
   StreamedBytes += Buffer.size();
   Buffer.clear();
 }
@@ -193,7 +192,7 @@ void EventTrace::save(BinaryWriter &W, uint64_t BlockBytes) const {
   // the varint continuation bit.
   const uint8_t *P = Buffer.data(), *End = P + Buffer.size();
   const uint8_t *BlockStart = P;
-  uint64_t Events = 0, Minted = 0, Reallocs = 0;
+  uint64_t Events = 0;
   while (P != End) {
     TraceOp Op = static_cast<TraceOp>(*P++);
     for (unsigned K = traceOperandCount(Op); K; --K) {
@@ -202,17 +201,13 @@ void EventTrace::save(BinaryWriter &W, uint64_t BlockBytes) const {
       ++P;
     }
     ++Events;
-    Minted += Op == TraceOp::Alloc || Op == TraceOp::Realloc;
-    Reallocs += Op == TraceOp::Realloc;
     if (static_cast<uint64_t>(P - BlockStart) >= BlockBytes) {
-      FW.addBlock(BlockStart, static_cast<size_t>(P - BlockStart), Events,
-                  Minted, Reallocs);
+      FW.addBlock(BlockStart, static_cast<size_t>(P - BlockStart), Events);
       BlockStart = P;
     }
   }
   if (P != BlockStart)
-    FW.addBlock(BlockStart, static_cast<size_t>(P - BlockStart), Events,
-                Minted, Reallocs);
+    FW.addBlock(BlockStart, static_cast<size_t>(P - BlockStart), Events);
   FW.finish(Counts, Objects);
 }
 

@@ -48,8 +48,7 @@ void TraceFileWriter::sink(const void *Data, size_t Size) {
 }
 
 void TraceFileWriter::addBlock(const uint8_t *Raw, size_t RawN,
-                               uint64_t EventsAfter, uint64_t ObjectsAfter,
-                               uint64_t ReallocsAfter) {
+                               uint64_t EventsAfter) {
   assert(!Finished && "block after finish()");
   assert(RawN > 0 && "empty block");
   std::vector<uint8_t> Comp = lz::compress(Raw, RawN);
@@ -65,14 +64,10 @@ void TraceFileWriter::addBlock(const uint8_t *Raw, size_t RawN,
   Info.CompBytes = PayloadN;
   Info.RawBytes = RawN;
   Info.Events = EventsAfter - PrevEvents;
-  Info.FirstObject = PrevObjects;
-  Info.FirstRealloc = PrevReallocs;
   Info.Checksum = fnv1a(Payload, PayloadN);
   sink(Payload, PayloadN);
   Table.push_back(Info);
   PrevEvents = EventsAfter;
-  PrevObjects = ObjectsAfter;
-  PrevReallocs = ReallocsAfter;
   RawTotal += RawN;
   CompTotal += PayloadN;
 }
@@ -80,8 +75,6 @@ void TraceFileWriter::addBlock(const uint8_t *Raw, size_t RawN,
 bool TraceFileWriter::finish(const TraceCounts &Counts, uint64_t Objects) {
   assert(!Finished && "finish() twice");
   assert(Counts.total() == PrevEvents &&
-         "unflushed records at finish (counts disagree with the blocks)");
-  assert(Objects == PrevObjects && Counts.Reallocs == PrevReallocs &&
          "unflushed records at finish (counts disagree with the blocks)");
   Finished = true;
   BinaryWriter FW;
@@ -103,8 +96,6 @@ bool TraceFileWriter::finish(const TraceCounts &Counts, uint64_t Objects) {
     FW.varint(B.CompBytes);
     FW.varint(B.RawBytes);
     FW.varint(B.Events);
-    FW.varint(B.FirstObject);
-    FW.varint(B.FirstRealloc);
     FW.u64(B.Checksum);
   }
   sink(FW.buffer().data(), FW.size());
@@ -179,8 +170,6 @@ TraceIndex halo::parseTraceIndex(const uint8_t *Data, size_t Size) {
     B.CompBytes = FR.varint();
     B.RawBytes = FR.varint();
     B.Events = FR.varint();
-    B.FirstObject = FR.varint();
-    B.FirstRealloc = FR.varint();
     B.Checksum = FR.u64();
     if (B.Method > 1)
       badTrace("unknown block compression method");
@@ -190,12 +179,6 @@ TraceIndex halo::parseTraceIndex(const uint8_t *Data, size_t Size) {
       badTrace("raw block sizes disagree");
     if (B.CompBytes > BlockRegion - Offset)
       badTrace("block overruns the block region");
-    if (!Idx.Blocks.empty() &&
-        (B.FirstObject < Idx.Blocks.back().FirstObject ||
-         B.FirstRealloc < Idx.Blocks.back().FirstRealloc))
-      badTrace("non-monotone block index");
-    if (B.FirstObject > Idx.Objects || B.FirstRealloc > Idx.Counts.Reallocs)
-      badTrace("block index exceeds the trace totals");
     B.FileOffset = Offset;
     B.FirstEvent = Events;
     B.RawOffset = RawOffset;
@@ -211,9 +194,6 @@ TraceIndex halo::parseTraceIndex(const uint8_t *Data, size_t Size) {
     badTrace("block event counts disagree with the totals");
   if (RawOffset != Idx.TotalRawBytes)
     badTrace("block raw sizes disagree with the totals");
-  if (!Idx.Blocks.empty() && (Idx.Blocks.front().FirstObject != 0 ||
-                              Idx.Blocks.front().FirstRealloc != 0))
-    badTrace("first block does not start at the trace origin");
   return Idx;
 }
 

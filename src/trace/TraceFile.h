@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The on-disk EventTrace format (version 2) and the layer that streams it
+/// The on-disk EventTrace format (version 3) and the layer that streams it
 /// out during recording and mmaps it back for replay. The in-RAM trace is
 /// capped by memory and forces a re-record for anything big; this format
 /// removes the ceiling the way data-center profile pipelines do -- the
@@ -14,7 +14,7 @@
 ///
 /// Layout (all multi-byte integers little-endian, varints LEB128):
 ///
-///   header   u32 magic "HTRC"           u32 format version (2)
+///   header   u32 magic "HTRC"           u32 format version (3)
 ///   blocks   compressed block payloads, back to back, no inline headers
 ///   footer   varint numBlocks
 ///            varint x10 per-kind record counts   varint object count
@@ -22,23 +22,17 @@
 ///            per block: u8 method (0 raw, 1 lz)
 ///                       varint compressed bytes   varint raw bytes
 ///                       varint events
-///                       varint objects minted before the block
-///                       varint realloc records before the block
 ///                       u64 fnv1a of the compressed bytes
 ///   trailer  u64 fnv1a of the footer    u64 footer byte count
 ///            u32 end magic "CRTH"
 ///
 /// Each block is a whole number of records, compressed independently
 /// (support/Lz.h, with a raw fallback when compression does not pay), so
-/// any block decodes without touching its predecessors; the footer entry
-/// carries everything a decoder must seed -- the block's first event
-/// ordinal, first object id, and first realloc ordinal -- which is what
-/// lets shardedReplay cut shards at block boundaries with no serial
-/// prepass scan. The footer lives at the end (located through the
-/// fixed-size trailer, zip-style) because the writer streams blocks out
-/// before it can know their count. Checksums make corruption detection
-/// block-granular: the artifact store treats any validation failure as
-/// absence and re-records.
+/// any block decodes without touching its predecessors. The footer lives
+/// at the end (located through the fixed-size trailer, zip-style) because
+/// the writer streams blocks out before it can know their count.
+/// Checksums make corruption detection block-granular: the artifact store
+/// treats any validation failure as absence and re-records.
 ///
 /// Blocks are cut by one deterministic rule -- the shortest record prefix
 /// of at least TraceBlockBytes encoded bytes -- applied identically by the
@@ -64,9 +58,10 @@ namespace halo {
 /// "HTRC" / "CRTH": the on-disk trace format's framing magics.
 constexpr uint32_t TraceMagic = 0x43525448;
 constexpr uint32_t TraceEndMagic = 0x48545243;
-/// Version 2: the block-compressed format this file defines (version 1
-/// was the flat single-buffer encoding; old entries read as absence).
-constexpr uint32_t TraceFormatVersion = 2;
+/// Version 3: the block-compressed format this file defines. Version 2
+/// also carried per-block first-object/first-realloc seeds, and version 1
+/// was the flat single-buffer encoding; old entries read as absence.
+constexpr uint32_t TraceFormatVersion = 3;
 /// Default block cut threshold. 1 MiB raw keeps at most a couple of MiB
 /// of decoded trace resident during streamed replay while amortising
 /// per-block costs over ~200k records.
@@ -84,8 +79,6 @@ struct TraceBlockInfo {
   uint64_t CompBytes = 0;    ///< On-disk payload size.
   uint64_t RawBytes = 0;     ///< Decoded (pre-compression) size.
   uint64_t Events = 0;       ///< Records in the block.
-  uint64_t FirstObject = 0;  ///< Objects minted before the block.
-  uint64_t FirstRealloc = 0; ///< Realloc records before the block.
   uint64_t Checksum = 0;     ///< fnv1a of the compressed bytes.
   // Derived at parse time:
   uint64_t FileOffset = 0;   ///< Payload offset from the region start.
@@ -104,10 +97,9 @@ struct TraceIndex {
 /// Parses and structurally validates the index of the \p Size-byte trace
 /// image at \p Data: header and trailer magics, format version, footer
 /// checksum, block sizes summing to the block region, totals consistent
-/// with the per-block entries, monotone first-object/first-realloc
-/// ordinals. Throws SerializationError on any mismatch. Per-block payload
-/// checksums are NOT verified here (that needs a pass over the payload
-/// bytes; MappedTrace::open does it once, streaming).
+/// with the per-block entries. Throws SerializationError on any mismatch.
+/// Per-block payload checksums are NOT verified here (that needs a pass
+/// over the payload bytes; MappedTrace::open does it once, streaming).
 TraceIndex parseTraceIndex(const uint8_t *Data, size_t Size);
 
 /// Streams a trace out block by block: header up front, each addBlock()
@@ -127,12 +119,11 @@ public:
   TraceFileWriter(const TraceFileWriter &) = delete;
   TraceFileWriter &operator=(const TraceFileWriter &) = delete;
 
-  /// Appends one block of \p RawN encoded record bytes. The totals are
-  /// the trace's running counters *after* the block's records (the
-  /// recorder's natural state at flush time); the writer diffs them
-  /// against the previous block's to derive the footer entry.
-  void addBlock(const uint8_t *Raw, size_t RawN, uint64_t EventsAfter,
-                uint64_t ObjectsAfter, uint64_t ReallocsAfter);
+  /// Appends one block of \p RawN encoded record bytes. \p EventsAfter is
+  /// the trace's running record count *after* the block's records (the
+  /// recorder's natural state at flush time); the writer diffs it against
+  /// the previous block's to derive the footer entry.
+  void addBlock(const uint8_t *Raw, size_t RawN, uint64_t EventsAfter);
 
   /// Seals the file: footer (block table + the final whole-trace totals)
   /// and trailer. Returns ok(). Must be called exactly once, last.
@@ -152,8 +143,6 @@ private:
   std::FILE *FileOut = nullptr;
   std::vector<TraceBlockInfo> Table;
   uint64_t PrevEvents = 0;
-  uint64_t PrevObjects = 0;
-  uint64_t PrevReallocs = 0;
   uint64_t RawTotal = 0;
   uint64_t CompTotal = 0;
   bool Ok = true;

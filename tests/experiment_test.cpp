@@ -150,21 +150,42 @@ TEST(BuildPlan, RejectsUnknownBenchmarks) {
 //===----------------------------------------------------------------------===//
 
 TEST(RunPlan, SerialMatchesParallelBitIdentically) {
-  ExperimentPlan SerialPlan = buildPlan({mixedSpec()});
-  ResultSet Serial = runPlan(SerialPlan, /*Jobs=*/1);
-  ExperimentPlan ParallelPlan = buildPlan({mixedSpec()});
-  ResultSet Parallel = runPlan(ParallelPlan, /*Jobs=*/4);
-
-  ASSERT_EQ(Serial.size(), 8u); // 2 benchmarks x 2 machines x 2 kinds.
-  ASSERT_EQ(Parallel.size(), Serial.size());
-  for (size_t C = 0; C < Serial.size(); ++C) {
-    SCOPED_TRACE("cell " + std::to_string(C));
-    EXPECT_EQ(Serial.cells()[C].Key.Benchmark,
-              Parallel.cells()[C].Key.Benchmark);
-    EXPECT_EQ(Serial.cells()[C].Key.Machine,
-              Parallel.cells()[C].Key.Machine);
-    EXPECT_EQ(Serial.cells()[C].Key.Kind, Parallel.cells()[C].Key.Kind);
-    expectSameRuns(Serial.cells()[C].Runs, Parallel.cells()[C].Runs);
+  // Every stage fans out across its tasks, so the plan shape decides how
+  // many tasks each stage has: the mixed matrix, and a single-benchmark
+  // three-kind one-trial cold plan, whose replay stage has exactly three
+  // tasks. (The 1x1x1 halo_cli plan is TraceShard.RunPlanModesAgree.)
+  ExperimentSpec ThreeKinds;
+  ThreeKinds.Benchmarks = {"health"};
+  ThreeKinds.S = Scale::Test;
+  ThreeKinds.Trials = 1;
+  const struct {
+    const char *Name;
+    ExperimentSpec Spec;
+    size_t Cells;
+  } Shapes[] = {
+      {"mixed", mixedSpec(), 8}, // 2 benchmarks x 2 machines x 2 kinds.
+      {"three kinds", ThreeKinds, 3},
+  };
+  for (const auto &Shape : Shapes) {
+    ExperimentPlan SerialPlan = buildPlan({Shape.Spec});
+    ResultSet Serial = runPlan(SerialPlan, /*Jobs=*/1);
+    ASSERT_EQ(Serial.size(), Shape.Cells) << Shape.Name;
+    for (int Jobs : {2, 4}) {
+      SCOPED_TRACE(std::string(Shape.Name) + " jobs " +
+                   std::to_string(Jobs));
+      ExperimentPlan ParallelPlan = buildPlan({Shape.Spec});
+      ResultSet Parallel = runPlan(ParallelPlan, Jobs);
+      ASSERT_EQ(Parallel.size(), Serial.size());
+      for (size_t C = 0; C < Serial.size(); ++C) {
+        SCOPED_TRACE("cell " + std::to_string(C));
+        EXPECT_EQ(Serial.cells()[C].Key.Benchmark,
+                  Parallel.cells()[C].Key.Benchmark);
+        EXPECT_EQ(Serial.cells()[C].Key.Machine,
+                  Parallel.cells()[C].Key.Machine);
+        EXPECT_EQ(Serial.cells()[C].Key.Kind, Parallel.cells()[C].Key.Kind);
+        expectSameRuns(Serial.cells()[C].Runs, Parallel.cells()[C].Runs);
+      }
+    }
   }
 }
 

@@ -9,12 +9,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "group/Grouping.h"
-#include "support/Executor.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -49,24 +47,6 @@ AffinityGraph randomGraph(const GraphParams &P, uint64_t Seed) {
   return G;
 }
 
-/// The worker counts the sharded path is checked at: serial-on-pool,
-/// small, prime (uneven component partitions), and the full hardware
-/// width (HALO_TEST_JOBS overrides the last so ci.sh can pin it).
-const std::vector<int> &shardedJobCounts() {
-  static const std::vector<int> Counts = [] {
-    int Hw = resolveJobs(0);
-    if (const char *Env = std::getenv("HALO_TEST_JOBS"))
-      Hw = std::max(1, std::atoi(Env));
-    std::vector<int> C = {1, 2, 7};
-    for (int J : C)
-      if (J == Hw)
-        return C;
-    C.push_back(Hw);
-    return C;
-  }();
-  return Counts;
-}
-
 void expectSameGroups(const std::vector<Group> &Ref,
                       const std::vector<Group> &Opt,
                       const std::string &What) {
@@ -82,15 +62,6 @@ void expectIdentical(const AffinityGraph &G, const GroupingOptions &Options,
                      const std::string &What) {
   std::vector<Group> Ref = buildGroupsReference(G, Options);
   expectSameGroups(Ref, buildGroups(G, Options), What);
-  // The sharded path must match at every jobs count -- including counts
-  // where components split unevenly across workers -- whether it groups
-  // per component or takes the serial fallback (tolerance outside the
-  // safety bound).
-  for (int Jobs : shardedJobCounts()) {
-    Executor Pool(Jobs);
-    expectSameGroups(Ref, buildGroupsParallel(G, Options, Pool),
-                     What + " [sharded jobs=" + std::to_string(Jobs) + "]");
-  }
 }
 
 GroupingOptions lenientOptions() {

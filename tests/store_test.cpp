@@ -12,7 +12,11 @@
 #include "store/ArtifactStore.h"
 
 #include "eval/Experiment.h"
+#include "group/Grouping.h"
+#include "hds/HdsPipeline.h"
+#include "identify/Identify.h"
 #include "support/BinaryIO.h"
+#include "trace/Context.h"
 #include "trace/EventTrace.h"
 
 #include <gtest/gtest.h>
@@ -361,6 +365,91 @@ TEST(StoreCorruption, GcKeepsValidEntries) {
   EXPECT_TRUE(Store->contains(Good));
   ASSERT_EQ(Store->entries().size(), 1u);
   EXPECT_EQ(Store->entries()[0].Hash, Good.Hash);
+}
+
+namespace {
+
+/// The 9-byte varint 2^60 - 1: a count no real payload can back.
+const std::vector<uint8_t> InflatedCount = {0xff, 0xff, 0xff, 0xff, 0xff,
+                                            0xff, 0xff, 0xff, 0x0f};
+
+/// \p Prefix followed by InflatedCount.
+std::vector<uint8_t> inflated(std::vector<uint8_t> Prefix = {}) {
+  Prefix.insert(Prefix.end(), InflatedCount.begin(), InflatedCount.end());
+  return Prefix;
+}
+
+/// \p Payload with the varint at \p Offset replaced by InflatedCount.
+std::vector<uint8_t> inflateCountAt(const std::vector<uint8_t> &Payload,
+                                    size_t Offset) {
+  BinaryReader R(Payload.data() + Offset, Payload.size() - Offset);
+  R.varint();
+  auto Rest = Payload.end() - static_cast<long>(R.remaining());
+  std::vector<uint8_t> Out(Payload.begin(),
+                           Payload.begin() + static_cast<long>(Offset));
+  Out.insert(Out.end(), InflatedCount.begin(), InflatedCount.end());
+  Out.insert(Out.end(), Rest, Payload.end());
+  return Out;
+}
+
+/// Runs \p Load over \p Bytes; the decoder must raise SerializationError.
+template <typename LoadFn>
+void expectTypedError(const std::vector<uint8_t> &Bytes, LoadFn Load,
+                      const char *What) {
+  SCOPED_TRACE(What);
+  BinaryReader R(Bytes);
+  EXPECT_THROW(Load(R), SerializationError);
+}
+
+} // namespace
+
+TEST(StoreCorruption, InflatedCountsRaiseTheTypedError) {
+  // A count the remaining bytes cannot hold must fail as a decode error,
+  // never as std::length_error or std::bad_alloc from a reserve().
+  expectTypedError(inflated(), loadGroups, "groups");
+  expectTypedError(inflated(), loadIdentification, "identification");
+  expectTypedError(inflated(), ContextTable::load, "contexts");
+  // One context whose frame count is inflated.
+  expectTypedError(inflated({1}), ContextTable::load, "context frames");
+  // A valid HDS header (magic, version) ahead of the stream count.
+  BinaryWriter Hds;
+  saveHdsArtifacts(HdsArtifacts{}, Hds);
+  std::vector<uint8_t> HdsHeader(Hds.buffer().begin(),
+                                 Hds.buffer().begin() + 8);
+  expectTypedError(inflated(HdsHeader), loadHdsArtifacts, "hds streams");
+}
+
+TEST(StoreCorruption, InflatedCountsInResealedEntriesReadAsAbsent) {
+  // A checksum-valid entry whose payload carries an inflated count (a
+  // forged or miswritten entry: put() re-seals whatever it is given) must
+  // read as absent, exactly like a bit flip.
+  Evaluation Eval(paperSetup("ft"));
+  const BenchmarkSetup &Setup = Eval.setup();
+  const HaloArtifacts &Halo = Eval.haloArtifacts();
+  TempStore Store;
+
+  // The HALO bundle's group count sits after its header, contexts, and
+  // graph.
+  BinaryWriter HaloBytes, Prefix;
+  saveHaloArtifacts(Halo, HaloBytes);
+  Prefix.u64(0); // Magic and version.
+  Halo.Contexts.save(Prefix);
+  Halo.Graph.save(Prefix);
+  StoreKey HaloKey = haloStoreKey("ft", Setup.ProfileScale,
+                                  Setup.ProfileSeed, Setup.Halo);
+  ASSERT_TRUE(
+      Store->put(HaloKey, inflateCountAt(HaloBytes.buffer(), Prefix.size())));
+  EXPECT_TRUE(Store->contains(HaloKey)); // The checksum holds.
+  EXPECT_FALSE(getHaloArtifacts(*Store, HaloKey, Eval.program()).has_value());
+
+  // The HDS bundle's stream count follows its 8-byte header.
+  BinaryWriter HdsBytes;
+  saveHdsArtifacts(Eval.hdsArtifacts(), HdsBytes);
+  StoreKey HdsKey =
+      hdsStoreKey("ft", Setup.ProfileScale, Setup.ProfileSeed, Setup.Hds);
+  ASSERT_TRUE(Store->put(HdsKey, inflateCountAt(HdsBytes.buffer(), 8)));
+  EXPECT_TRUE(Store->contains(HdsKey));
+  EXPECT_FALSE(getHdsArtifacts(*Store, HdsKey).has_value());
 }
 
 //===----------------------------------------------------------------------===//

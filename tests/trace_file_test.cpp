@@ -4,9 +4,9 @@
 // codec round-trips and rejects malformed streams; streaming a recording
 // to disk produces byte-for-byte the file save() writes; the footer index
 // describes exactly the blocks; corruption of any byte is detected at
-// open(); and -- the fifth equivalence contract -- a mapped trace replays
-// bit-identically to the in-RAM oracle under every allocator kind, jobs
-// count, and ReplayMode, from a raw Runtime up through runPlan.
+// open(); and -- the "mapped = in-RAM" contract -- a mapped trace replays
+// bit-identically to the in-RAM oracle under every allocator kind and
+// jobs count, from a raw Runtime up through runPlan.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +16,7 @@
 #include "eval/Experiment.h"
 #include "mem/BoundaryTagAllocator.h"
 #include "mem/SizeClassAllocator.h"
-#include "support/Executor.h"
+#include "support/Hash.h"
 #include "support/Lz.h"
 #include "trace/EventTrace.h"
 
@@ -91,6 +91,53 @@ std::vector<uint8_t> readFile(const std::string &Path) {
   EXPECT_EQ(std::fread(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
   std::fclose(F);
   return Bytes;
+}
+
+/// Encodes \p Idx as the version-3 footer: the documented fields and
+/// nothing else (the derived offsets are not stored).
+std::vector<uint8_t> encodeFooter(const TraceIndex &Idx) {
+  const TraceCounts &C = Idx.Counts;
+  BinaryWriter W;
+  W.varint(Idx.Blocks.size());
+  for (uint64_t Count : {C.Calls, C.Returns, C.Allocs, C.Frees, C.Loads,
+                         C.Stores, C.RawLoads, C.RawStores, C.Computes,
+                         C.Reallocs})
+    W.varint(Count);
+  W.varint(Idx.Objects);
+  W.varint(Idx.TotalRawBytes);
+  for (const TraceBlockInfo &B : Idx.Blocks) {
+    W.u8(B.Method);
+    W.varint(B.CompBytes);
+    W.varint(B.RawBytes);
+    W.varint(B.Events);
+    W.u64(B.Checksum);
+  }
+  return W.buffer();
+}
+
+/// The footer of the trace image \p Image, located through its trailer.
+std::vector<uint8_t> footerOf(const std::vector<uint8_t> &Image) {
+  BinaryReader TR(Image.data() + Image.size() - TraceTrailerBytes,
+                  TraceTrailerBytes);
+  TR.u64(); // Footer checksum.
+  uint64_t FooterBytes = TR.u64();
+  auto End = Image.end() - static_cast<long>(TraceTrailerBytes);
+  return std::vector<uint8_t>(End - static_cast<long>(FooterBytes), End);
+}
+
+/// \p Image with its footer replaced by \p Footer and the trailer
+/// re-sealed (checksum and size recomputed): a checksum-valid image whose
+/// index says whatever \p Footer says.
+std::vector<uint8_t> withFooter(const std::vector<uint8_t> &Image,
+                                const std::vector<uint8_t> &Footer) {
+  size_t Body = Image.size() - TraceTrailerBytes - footerOf(Image).size();
+  BinaryWriter W;
+  W.bytes(Image.data(), Body);
+  W.bytes(Footer.data(), Footer.size());
+  W.u64(fnv1a(Footer.data(), Footer.size()));
+  W.u64(Footer.size());
+  W.u32(TraceEndMagic);
+  return W.buffer();
 }
 
 const AllocatorKind AllKinds[] = {
@@ -297,6 +344,9 @@ TEST(TraceFileFormat, IndexDescribesExactlyTheBlocks) {
   EXPECT_EQ(Raw, Trace.byteSize());
   // Payloads fit strictly inside framing + footer.
   EXPECT_LT(TraceHeaderBytes + Comp + TraceTrailerBytes, Saved.size());
+  // The footer is exactly the documented fields, byte for byte: nothing
+  // beyond the totals and the per-block method/sizes/events/checksum.
+  EXPECT_EQ(footerOf(Saved), encodeFooter(Idx));
 }
 
 TEST(TraceFileFormat, OpenRejectsEveryCorruption) {
@@ -324,6 +374,10 @@ TEST(TraceFileFormat, OpenRejectsEveryCorruption) {
   ExpectRejected(Mut, "unknown version");
 
   Mut = Saved;
+  Mut[4] = 2; // The previous format, whose footer carried per-block seeds.
+  ExpectRejected(Mut, "version 2 image");
+
+  Mut = Saved;
   Mut[TraceHeaderBytes + Mut.size() / 3] ^= 0x01; // A payload byte.
   ExpectRejected(Mut, "block bit flip");
 
@@ -335,6 +389,23 @@ TEST(TraceFileFormat, OpenRejectsEveryCorruption) {
   ExpectRejected(Mut, "truncated");
 
   ExpectRejected({1, 2, 3}, "garbage");
+
+  // Checksum-valid footers whose index disagrees with itself: the
+  // structural checks, not the checksum, must reject these.
+  TraceIndex Idx = parseTraceIndex(Saved.data(), Saved.size());
+  EXPECT_EQ(withFooter(Saved, encodeFooter(Idx)), Saved);
+  TraceIndex Bad = Idx;
+  Bad.Blocks.front().Events += 1;
+  ExpectRejected(withFooter(Saved, encodeFooter(Bad)),
+                 "resealed footer: block events exceed the totals");
+  Bad = Idx;
+  Bad.Objects += 1;
+  ExpectRejected(withFooter(Saved, encodeFooter(Bad)),
+                 "resealed footer: object count mismatch");
+  Bad = Idx;
+  Bad.Blocks.front().Method = 2;
+  ExpectRejected(withFooter(Saved, encodeFooter(Bad)),
+                 "resealed footer: unknown compression method");
 
   // Missing file: an I/O error, not a format error.
   EXPECT_THROW(MappedTrace::open("/nonexistent/trace"), std::runtime_error);
@@ -410,10 +481,9 @@ TEST(MappedTraceDecode, CursorMatchesInRamCursorAcrossBlockBoundaries) {
   }
 }
 
-TEST(MappedTraceReplay, SerialAndShardedMatchTheInRamOracle) {
+TEST(MappedTraceReplay, MatchesTheInRamOracle) {
   // The raw Runtime level of "mapped = in-RAM": same trace, one replay
-  // through the buffer and one through the file, every counter equal --
-  // serial and sharded, one worker and several.
+  // through the buffer and one through the file, every counter equal.
   auto W = createWorkload("health");
   Program P;
   W->build(P);
@@ -438,12 +508,6 @@ TEST(MappedTraceReplay, SerialAndShardedMatchTheInRamOracle) {
 
   auto Oracle = Measure([&](Runtime &RT) { RT.replay(Trace); });
   EXPECT_EQ(Measure([&](Runtime &RT) { RT.replay(Mapped); }), Oracle);
-  for (int Jobs : {1, 4}) {
-    SCOPED_TRACE("jobs " + std::to_string(Jobs));
-    Executor Pool(Jobs);
-    EXPECT_EQ(Measure([&](Runtime &RT) { shardedReplay(RT, Mapped, Pool); }),
-              Oracle);
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -531,19 +595,18 @@ void expectSameCells(const ResultSet &A, const ResultSet &B) {
 
 } // namespace
 
-TEST(TraceModePlans, EveryModeAndReplayModeMatchesTheMemoryPlan) {
+TEST(TraceModePlans, EveryModeMatchesTheMemoryPlan) {
   ExperimentPlan Oracle = buildPlan({planSpec()});
   ResultSet Memory =
       runPlan(Oracle, /*Jobs=*/1, ReplayMode::Auto, TraceMode::Memory);
 
   for (TraceMode Traces : {TraceMode::Mapped, TraceMode::Auto}) {
-    for (ReplayMode Mode : {ReplayMode::Serial, ReplayMode::Sharded}) {
-      for (int Jobs : {1, 4}) {
-        SCOPED_TRACE(std::string(traceModeName(Traces)) + "/" +
-                     replayModeName(Mode) + "/jobs " + std::to_string(Jobs));
-        ExperimentPlan Plan = buildPlan({planSpec()});
-        expectSameCells(Memory, runPlan(Plan, Jobs, Mode, Traces));
-      }
+    for (int Jobs : {1, 4}) {
+      SCOPED_TRACE(std::string(traceModeName(Traces)) + "/jobs " +
+                   std::to_string(Jobs));
+      ExperimentPlan Plan = buildPlan({planSpec()});
+      expectSameCells(Memory,
+                      runPlan(Plan, Jobs, ReplayMode::Auto, Traces));
     }
   }
 }

@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "eval/Evaluation.h"
+#include "eval/Experiment.h"
 #include "mem/BoundaryTagAllocator.h"
 #include "mem/SizeClassAllocator.h"
 #include "trace/EventTrace.h"
@@ -398,4 +399,34 @@ TEST(TraceReplay, ParallelTrialsMatchSerialTrials) {
   for (size_t T = 0; T < HaloSerial.size(); ++T)
     expectSameMetrics(HaloSerial[T], HaloParallel[T],
                       "halo trial " + std::to_string(T));
+}
+
+TEST(TraceShard, RunPlanModesAgree) {
+  // The plan scheduler itself: the same 1x1x1 plan (the halo_cli
+  // run/baseline/hds shape) must produce identical results under every
+  // replay mode and jobs count.
+  auto RunWith = [&](int Jobs, ReplayMode Mode) {
+    ExperimentSpec Spec;
+    Spec.Benchmarks = {"health"};
+    Spec.Kinds = {AllocatorKind::Halo};
+    Spec.S = Scale::Test;
+    Spec.Trials = 2;
+    ExperimentPlan Plan = buildPlan({Spec});
+    return runPlan(Plan, Jobs, Mode);
+  };
+  ResultSet Serial = RunWith(1, ReplayMode::Auto);
+  ASSERT_EQ(Serial.size(), 1u);
+  for (int Jobs : {1, 2, 4})
+    for (ReplayMode Mode : {ReplayMode::Auto}) {
+      ResultSet Got = RunWith(Jobs, Mode);
+      ASSERT_EQ(Serial.size(), Got.size());
+      for (size_t C = 0; C < Serial.cells().size(); ++C) {
+        ASSERT_EQ(Serial.cells()[C].Runs.size(), Got.cells()[C].Runs.size());
+        for (size_t R = 0; R < Serial.cells()[C].Runs.size(); ++R)
+          expectSameMetrics(Serial.cells()[C].Runs[R],
+                            Got.cells()[C].Runs[R],
+                            "jobs=" + std::to_string(Jobs) + " run " +
+                                std::to_string(R));
+      }
+    }
 }
