@@ -6,15 +6,16 @@
 ///
 /// \file
 /// Helpers shared by the figure/table bench binaries: trial counts, the
-/// paper's approximate reference values (read off its figures) for
-/// side-by-side printing, and small formatting utilities.
+/// one-plan measurement shortcut, the paper's approximate reference values
+/// (read off its figures) for side-by-side printing, and small formatting
+/// utilities.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HALO_BENCH_BENCHCOMMON_H
 #define HALO_BENCH_BENCHCOMMON_H
 
-#include "eval/Evaluation.h"
+#include "eval/Experiment.h"
 #include "eval/Report.h"
 #include "support/Format.h"
 #include "support/Stats.h"
@@ -79,6 +80,29 @@ inline int trials() {
   if (const char *Env = std::getenv("HALO_BENCH_TRIALS"))
     return std::max(1, std::atoi(Env));
   return 3;
+}
+
+/// Runs \p Spec as one plan across every hardware thread. The returned
+/// cells' keys and runs are copies that outlive the plan; only their
+/// Machine pointers must not be dereferenced.
+inline ResultSet runSpec(const ExperimentSpec &Spec) {
+  ExperimentPlan Plan = buildPlan({Spec});
+  return runPlan(Plan);
+}
+
+/// The runs of \p Benchmark's \p Kind cell on the default machine at ref
+/// scale; exits if \p Results never measured it.
+inline const std::vector<RunMetrics> &runsOf(const ResultSet &Results,
+                                             const std::string &Benchmark,
+                                             AllocatorKind Kind) {
+  const ResultSet::Cell *Cell =
+      Results.find(Benchmark, defaultMachine().Name, Kind, Scale::Ref);
+  if (!Cell) {
+    std::fprintf(stderr, "bench: no %s cell for %s\n",
+                 allocatorKindName(Kind), Benchmark.c_str());
+    std::exit(1);
+  }
+  return Cell->Runs;
 }
 
 /// Paper reference values, read off Figures 13/14 (approximate, in

@@ -18,12 +18,14 @@ int main() {
   R.setColumns({"benchmark", "L1D miss reduction", "time improvement"});
   double MaxMiss = 0.0;
   int Wins = 0, Total = 0;
-  for (const std::string &Name : workloadNames()) {
-    Evaluation Eval(paperSetup(Name));
-    auto Pt = Eval.measureTrials(AllocatorKind::Ptmalloc, Scale::Ref,
-                                 bench::trials());
-    auto Je = Eval.measureTrials(AllocatorKind::Jemalloc, Scale::Ref,
-                                 bench::trials());
+  ExperimentSpec Spec;
+  Spec.Benchmarks = workloadNames();
+  Spec.Kinds = {AllocatorKind::Ptmalloc, AllocatorKind::Jemalloc};
+  Spec.Trials = bench::trials();
+  ResultSet Results = bench::runSpec(Spec);
+  for (const std::string &Name : Spec.Benchmarks) {
+    const auto &Pt = bench::runsOf(Results, Name, AllocatorKind::Ptmalloc);
+    const auto &Je = bench::runsOf(Results, Name, AllocatorKind::Jemalloc);
     double Miss = percentImprovement(Evaluation::medianL1Misses(Pt),
                                      Evaluation::medianL1Misses(Je));
     double Time = percentImprovement(Evaluation::medianSeconds(Pt),

@@ -3,9 +3,10 @@
 // Measures the record-once/replay-many machinery: per-event throughput of
 // direct workload execution vs trace replay under the measurement
 // configuration (jemalloc model + full memory hierarchy), the cost of
-// recording, and the end-to-end effect on a compareTechniques-style sweep
-// (every allocator kind x several trials) run the pre-trace way (direct,
-// serial) vs the trace way (shared per-seed recordings + parallel trials).
+// recording, and the end-to-end effect on a one-benchmark sweep (every
+// allocator kind x several trials) run the pre-trace way (direct, serial)
+// vs the trace way (one runPlan: shared per-seed recordings + parallel
+// trials).
 //
 // Emits rows in the repo's stable trajectory schema
 //   {"bench", "nodes", "edges", "wall_ms", "trials"}
@@ -28,7 +29,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "eval/Evaluation.h"
 #include "mem/SizeClassAllocator.h"
 #include "support/Rng.h"
 #include "trace/EventTrace.h"
@@ -488,7 +488,8 @@ int main(int Argc, char **Argv) {
   //===--------------------------------------------------------------------===//
   // End-to-end sweep: every allocator kind x Trials trials on one
   // benchmark, the pre-trace way (direct execution, serial) vs the trace
-  // way (per-seed recordings shared by all kinds + parallel trials).
+  // way (one runPlan: per-seed recordings shared by all kinds + parallel
+  // trials, with the caller's Evaluation backing the plan).
   // Pipeline artifacts are materialised up front on both sides so the
   // rows compare pure measurement.
   //===--------------------------------------------------------------------===//
@@ -511,12 +512,15 @@ int main(int Argc, char **Argv) {
     TraceEval.haloArtifacts();
     TraceEval.hdsArtifacts();
     double TraceStart = nowMs();
-    for (AllocatorKind Kind : SweepKinds) {
-      auto Runs = TraceEval.measureTrials(Kind, Scale::Ref, Trials, 100,
-                                          /*Jobs=*/0);
-      for (const RunMetrics &M : Runs)
+    ExperimentSpec Spec;
+    Spec.Benchmarks = {Name};
+    Spec.Kinds.assign(std::begin(SweepKinds), std::end(SweepKinds));
+    Spec.Trials = Trials;
+    ExperimentPlan Plan = buildPlan({Spec}, {&TraceEval});
+    ResultSet Results = runPlan(Plan);
+    for (const ResultSet::Cell &Cell : Results.cells())
+      for (const RunMetrics &M : Cell.Runs)
         Guard += M.Cycles;
-    }
     double TraceMs = nowMs() - TraceStart;
     if (Guard == 0)
       return 1;

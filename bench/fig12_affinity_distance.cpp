@@ -3,7 +3,8 @@
 // Regenerates Figure 12: "Time taken by omnetpp at various affinity
 // distances", with the unmodified-jemalloc median as the dashed baseline.
 // The paper selects A = 128 from this sweep as a good trade-off between
-// gains and profiling overhead.
+// gains and profiling overhead. A spec decides a benchmark's setup once,
+// by name, so each distance is its own one-cell plan.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,19 +16,22 @@ int main() {
   Report R("Figure 12: omnetpp execution time vs affinity distance");
   R.setColumns({"affinity distance", "median time (sim s)", "vs baseline"});
 
-  BenchmarkSetup Base = paperSetup("omnetpp");
-  Evaluation BaseEval(Base);
-  auto BaseRuns = BaseEval.measureTrials(AllocatorKind::Jemalloc, Scale::Ref,
-                                         bench::trials());
-  double BaseTime = Evaluation::medianSeconds(BaseRuns);
+  ExperimentSpec Spec;
+  Spec.Benchmarks = {"omnetpp"};
+  Spec.Kinds = {AllocatorKind::Jemalloc};
+  Spec.Trials = bench::trials();
+  double BaseTime = Evaluation::medianSeconds(bench::runsOf(
+      bench::runSpec(Spec), "omnetpp", AllocatorKind::Jemalloc));
 
+  Spec.Kinds = {AllocatorKind::Halo};
   for (int Power = 3; Power <= 17; Power += 2) {
-    BenchmarkSetup Setup = paperSetup("omnetpp");
-    Setup.Halo.Profile.AffinityDistance = uint64_t(1) << Power;
-    Evaluation Eval(Setup);
-    auto Runs =
-        Eval.measureTrials(AllocatorKind::Halo, Scale::Ref, bench::trials());
-    double Time = Evaluation::medianSeconds(Runs);
+    Spec.MakeSetup = [Power](const std::string &Name) {
+      BenchmarkSetup Setup = paperSetup(Name);
+      Setup.Halo.Profile.AffinityDistance = uint64_t(1) << Power;
+      return Setup;
+    };
+    double Time = Evaluation::medianSeconds(bench::runsOf(
+        bench::runSpec(Spec), "omnetpp", AllocatorKind::Halo));
     R.addRow({"2^" + std::to_string(Power), formatDouble(Time, 4),
               formatPercent(percentImprovement(BaseTime, Time))});
   }

@@ -15,8 +15,13 @@ int main() {
            std::to_string(bench::trials()) + " trials)");
   R.setColumns({"benchmark", "Chilimbi et al.", "HALO", "paper HDS~",
                 "paper HALO~"});
-  for (const std::string &Name : workloadNames()) {
-    ComparisonRow Row = compareTechniques(Name, bench::trials());
+  ExperimentSpec Spec;
+  Spec.Benchmarks = workloadNames();
+  Spec.Trials = bench::trials();
+  ResultSet Results = bench::runSpec(Spec);
+  for (const std::string &Name : Spec.Benchmarks) {
+    ComparisonRow Row =
+        comparisonRow(Results, Name, defaultMachine().Name, Scale::Ref);
     bench::PaperRow Paper = bench::paperFigures(Name);
     R.addRow({Name, formatPercent(Row.HdsSpeedup),
               formatPercent(Row.HaloSpeedup), formatPercent(Paper.HdsSpeed, 0),

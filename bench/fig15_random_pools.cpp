@@ -16,14 +16,17 @@ int main() {
            "(median of " +
            std::to_string(bench::trials()) + " trials)");
   R.setColumns({"benchmark", "speedup", "sensitive?"});
-  for (const std::string &Name : workloadNames()) {
-    Evaluation Eval(paperSetup(Name));
-    auto Base = Eval.measureTrials(AllocatorKind::Jemalloc, Scale::Ref,
-                                   bench::trials());
-    auto Random = Eval.measureTrials(AllocatorKind::RandomPools, Scale::Ref,
-                                     bench::trials());
-    double Speedup = percentImprovement(Evaluation::medianSeconds(Base),
-                                        Evaluation::medianSeconds(Random));
+  ExperimentSpec Spec;
+  Spec.Benchmarks = workloadNames();
+  Spec.Kinds = {AllocatorKind::Jemalloc, AllocatorKind::RandomPools};
+  Spec.Trials = bench::trials();
+  ResultSet Results = bench::runSpec(Spec);
+  for (const std::string &Name : Spec.Benchmarks) {
+    double Speedup = percentImprovement(
+        Evaluation::medianSeconds(
+            bench::runsOf(Results, Name, AllocatorKind::Jemalloc)),
+        Evaluation::medianSeconds(
+            bench::runsOf(Results, Name, AllocatorKind::RandomPools)));
     R.addRow({Name, formatPercent(Speedup),
               Speedup < -3.0 ? "yes" : "no"});
   }

@@ -14,6 +14,7 @@
 //   halo_cli hds <benchmark> [--trials N] [--jobs N] [--machine NAME]
 //   halo_cli trace <benchmark>       # record an event trace, print counts
 //   halo_cli plot [benchmark...] [--trials N] [--jobs N] [--machine NAME]
+//            [setup flags as for run] [--store-dir DIR] [--trace-mode MODE]
 //   halo_cli machines                # list the machine presets
 //   halo_cli sweep [benchmark...] [--trials N] [--jobs N] [--out FILE]
 //   halo_cli experiments [benchmark...] [--machines NAME,...|all]
@@ -128,8 +129,12 @@ struct CliOptions {
       "       --machines NAME[,NAME...]|all  --kinds KIND[,KIND...]\n"
       "       --scale test|ref  --seed-base N  (experiments)\n"
       "       --store-dir DIR (or $HALO_STORE): content-addressed cache of\n"
-      "         recordings + pipeline artifacts (baseline/run/hds/sweep/\n"
-      "         experiments/store/serve)\n"
+      "         recordings + pipeline artifacts (baseline/run/hds/plot/\n"
+      "         sweep/experiments/store/serve)\n"
+      "       the setup flags (--chunk-size --max-spare-chunks --max-groups\n"
+      "         --affinity-distance) and --trace-mode apply to the measuring\n"
+      "         commands (baseline run hds plot sweep experiments); serve\n"
+      "         takes --trace-mode too\n"
       "       --socket PATH: the Unix-domain socket serve listens on and\n"
       "         client connects to. client run takes the experiments\n"
       "         matrix flags (--machines --kinds --scale --seed-base\n"
@@ -255,6 +260,25 @@ private:
   int I;
 };
 
+/// True for the commands that measure locally: each builds its
+/// BenchmarkSetups from the options (setupFor) and runs one plan, so they
+/// alone honour the Appendix A.8 setup flags, and they (plus serve and,
+/// for --store-dir, store) alone take --trace-mode and --store-dir. The
+/// serve protocol carries no setup overrides, so client, serve, trace,
+/// machines, and store reject the setup flags instead of dropping them.
+bool measuringCommand(const CliOptions &Opts) {
+  return Opts.Command == "baseline" || Opts.Command == "run" ||
+         Opts.Command == "hds" || Opts.Command == "plot" ||
+         Opts.Command == "sweep" || Opts.Command == "experiments";
+}
+
+/// True when any Appendix A.8 setup flag was given (each flag's minimum
+/// rules out its "unset" sentinel).
+bool hasSetupFlags(const CliOptions &Opts) {
+  return Opts.ChunkSize || Opts.MaxSpareChunks >= 0 || Opts.MaxGroups ||
+         Opts.AffinityDistance;
+}
+
 /// True when the invocation writes a JSON document (and thus honours
 /// --out). For store and client the verb decides: `store ls --out` emits
 /// the entry listing as JSON, `client run --out` the experiments
@@ -379,12 +403,14 @@ CliOptions parseArgs(int Argc, char **Argv) {
   if (!Opts.OutPath.empty() && !emitsJson(Opts))
     usageError("--out is not supported by the " + Opts.Command +
                " command (it emits no JSON)");
-  if (Opts.SawTraceMode && Opts.Command != "baseline" &&
-      Opts.Command != "run" && Opts.Command != "hds" &&
-      Opts.Command != "sweep" && Opts.Command != "experiments" &&
-      Opts.Command != "serve")
+  if (Opts.SawTraceMode && !measuringCommand(Opts) && Opts.Command != "serve")
     usageError("--trace-mode is only valid with the measuring commands "
-               "(baseline run hds sweep experiments serve)");
+               "(baseline run hds plot sweep experiments) and serve");
+  if (hasSetupFlags(Opts) && !measuringCommand(Opts))
+    usageError("--chunk-size, --max-spare-chunks, --max-groups and "
+               "--affinity-distance are only valid with the measuring "
+               "commands (baseline run hds plot sweep experiments); the " +
+               Opts.Command + " command builds no local setup");
   if (Opts.Command == "trace" && Opts.Benchmark == "info") {
     if (Opts.TraceFile.empty())
       usageError("trace info needs a trace file to inspect");
@@ -396,10 +422,8 @@ CliOptions parseArgs(int Argc, char **Argv) {
   } else if (!Opts.SavePath.empty()) {
     usageError("--save is only valid with the trace command");
   }
-  if (!Opts.StoreDir.empty() && Opts.Command != "store" &&
-      Opts.Command != "baseline" && Opts.Command != "run" &&
-      Opts.Command != "hds" && Opts.Command != "sweep" &&
-      Opts.Command != "experiments" && Opts.Command != "serve")
+  if (!Opts.StoreDir.empty() && !measuringCommand(Opts) &&
+      Opts.Command != "store" && Opts.Command != "serve")
     usageError("--store-dir is not supported by the " + Opts.Command +
                " command");
   bool MatrixCommand = Opts.Command == "experiments" ||
@@ -505,10 +529,6 @@ BenchmarkSetup setupFor(const CliOptions &Opts,
   return Setup;
 }
 
-BenchmarkSetup setupFor(const CliOptions &Opts) {
-  return setupFor(Opts, Opts.Benchmark);
-}
-
 void asciiBar(const char *Label, double Percent, double FullScale) {
   int Width = static_cast<int>(40.0 * std::abs(Percent) / FullScale);
   if (Width > 40)
@@ -528,90 +548,53 @@ std::vector<std::string> benchmarkList(const CliOptions &Opts) {
   return Names;
 }
 
-int runPlot(const CliOptions &Opts) {
-  std::vector<std::string> Names = benchmarkList(Opts);
-  const MachineConfig &M = machineFor(Opts);
-  std::printf("HALO vs jemalloc on %s (top: L1D miss reduction, bottom: "
-              "speedup), %d trial(s)\n\n",
-              M.Name.c_str(), Opts.Trials);
-  // One plan behind the scenes: cells fan out at benchmark x kind x trial
-  // granularity; rows come back in request order and bit-identical to a
-  // serial run.
-  std::vector<ComparisonRow> Rows =
-      compareAcrossBenchmarks(Names, Opts.Trials, Scale::Ref, Opts.Jobs, M);
-  for (const ComparisonRow &Row : Rows) {
-    std::printf("%s\n", Row.Benchmark.c_str());
-    asciiBar("hds", Row.HdsMissReduction, 40.0);
-    asciiBar("halo", Row.HaloMissReduction, 40.0);
-    asciiBar("hds", Row.HdsSpeedup, 40.0);
-    asciiBar("halo", Row.HaloSpeedup, 40.0);
+/// One measuring command's plan, run to completion on construction: the
+/// store and the --out stream open first, so a bad directory or an
+/// unwritable path fails before any measurement, then \p Spec -- with
+/// every benchmark set up from the options (setupFor) -- is built into a
+/// plan and run across --jobs workers under --trace-mode.
+struct MeasuredPlan {
+  MeasuredPlan(const CliOptions &Opts, ExperimentSpec Spec)
+      : Store(openStore(Opts)),
+        Out(openOutput(Opts.OutPath)),
+        Plan(buildPlan({withSetup(Opts, std::move(Spec))}, {},
+                       Store ? &*Store : nullptr)),
+        Results(runPlan(Plan, Opts.Jobs, ReplayMode::Auto, Opts.Traces)) {}
+  // The plan points at Store, so the object never moves.
+  MeasuredPlan(const MeasuredPlan &) = delete;
+  MeasuredPlan &operator=(const MeasuredPlan &) = delete;
+
+  static ExperimentSpec withSetup(const CliOptions &Opts, ExperimentSpec Spec) {
+    Spec.MakeSetup = [&Opts](const std::string &Name) {
+      return setupFor(Opts, Name);
+    };
+    return Spec;
   }
-  return 0;
-}
 
-int runMachines() {
-  Report Table("Machine presets (sim/Machine.h)");
-  Table.setColumns({"machine", "geometry", "lat L1/L2/L3/mem/TLB",
-                    "description"});
-  for (const MachineConfig &M : machinePresets()) {
-    const LatencyModel &Lat = M.Hierarchy.Latency;
-    char LatBuf[64];
-    std::snprintf(LatBuf, sizeof(LatBuf), "%u/%u/%u/%u/%u", Lat.L1Hit,
-                  Lat.L2Hit, Lat.L3Hit, Lat.Memory, Lat.TlbMiss);
-    Table.addRow({M.Name, M.summary(), LatBuf, M.Description});
-  }
-  Table.addNote("default: " + defaultMachine().Name +
-                " (the paper's evaluation machine)");
-  Table.print();
-  return 0;
-}
+  std::optional<ArtifactStore> Store;
+  FILE *Out; ///< The --out stream; stdout without --out.
+  ExperimentPlan Plan;
+  ResultSet Results;
+};
 
-int runSweep(const CliOptions &Opts) {
-  std::vector<std::string> Names = benchmarkList(Opts);
-  // Default: every preset; --machine narrows the sweep to one.
-  std::vector<const MachineConfig *> Machines;
-  if (Opts.Machine.empty())
-    for (const MachineConfig &M : machinePresets())
-      Machines.push_back(&M);
-  else
-    Machines.push_back(&machineFor(Opts));
-
-  // One plan across the whole benchmark x machine matrix: each benchmark
-  // records its traces and materialises its pipelines once, and the
-  // replay stage spans every (benchmark, machine, kind, trial) cell, so
-  // mixed sweeps keep all --jobs workers busy. Cells come back
-  // benchmark-major, machine-major inside, kinds in jemalloc/hds/halo
-  // order -- bit-identical to a serial sweep.
-  ExperimentSpec Spec;
-  Spec.Benchmarks = Names;
-  Spec.Machines = Machines;
-  Spec.Kinds = {AllocatorKind::Jemalloc, AllocatorKind::Hds,
-                AllocatorKind::Halo};
-  Spec.S = Scale::Ref;
-  Spec.Trials = Opts.Trials;
-  Spec.MakeSetup = [&Opts](const std::string &Name) {
-    return setupFor(Opts, Name);
-  };
-  std::optional<ArtifactStore> Store = openStore(Opts);
-  FILE *Out = Opts.OutPath.empty() ? nullptr : openOutput(Opts.OutPath);
-  ExperimentPlan Plan = buildPlan({Spec}, {}, Store ? &*Store : nullptr);
-  ResultSet Results = runPlan(Plan, Opts.Jobs, ReplayMode::Auto, Opts.Traces);
-
-  std::vector<SweepRow> Rows = sweepRows(Results);
-  sweepReport(Rows).print();
-  if (Out) {
-    writeSweepJson(Out, Rows);
-    closeOutput(Out, Opts.OutPath,
-                " (" + std::to_string(Rows.size()) + " rows)");
-  }
-  return 0;
-}
-
-int runExperiments(const CliOptions &Opts) {
+/// The jemalloc/HDS/HALO comparison at ref scale that `sweep` and `plot`
+/// measure, over the requested benchmarks on \p Machines.
+ExperimentSpec comparisonSpec(const CliOptions &Opts,
+                              std::vector<const MachineConfig *> Machines) {
   ExperimentSpec Spec;
   Spec.Benchmarks = benchmarkList(Opts);
-  // --machines: preset names or "all"; default is the --machine preset
-  // (or the setup default) as a single-machine matrix.
+  Spec.Machines = std::move(Machines);
+  Spec.Trials = Opts.Trials;
+  return Spec;
+}
+
+/// The matrix `experiments` and `client run` share: the benchmarks, the
+/// --machines list (preset names or "all"; without it, the --machine
+/// preset as a one-machine matrix, else the setup's machine), --kinds,
+/// --scale, --seed-base, and --trials.
+ExperimentSpec matrixSpec(const CliOptions &Opts) {
+  ExperimentSpec Spec;
+  Spec.Benchmarks = benchmarkList(Opts);
   for (const std::string &Name : Opts.MachineList) {
     if (Name == "all") {
       for (const MachineConfig &M : machinePresets())
@@ -639,17 +622,73 @@ int runExperiments(const CliOptions &Opts) {
   Spec.S = Opts.S;
   Spec.Trials = Opts.Trials;
   Spec.SeedBase = Opts.SeedBase;
-  Spec.MakeSetup = [&Opts](const std::string &Name) {
-    return setupFor(Opts, Name);
-  };
+  return Spec;
+}
 
-  std::optional<ArtifactStore> Store = openStore(Opts);
-  FILE *Out = openOutput(Opts.OutPath);
-  ExperimentPlan Plan = buildPlan({Spec}, {}, Store ? &*Store : nullptr);
-  ResultSet Results = runPlan(Plan, Opts.Jobs, ReplayMode::Auto, Opts.Traces);
-  if (Out != stdout) {
+int runPlot(const CliOptions &Opts) {
+  const MachineConfig &M = machineFor(Opts);
+  ExperimentSpec Spec = comparisonSpec(Opts, {&M});
+  std::printf("HALO vs jemalloc on %s (top: L1D miss reduction, bottom: "
+              "speedup), %d trial(s)\n\n",
+              M.Name.c_str(), Opts.Trials);
+  MeasuredPlan Run(Opts, Spec);
+  // Bars follow the request order; a repeated name repeats its bars.
+  for (const std::string &Name : Spec.Benchmarks) {
+    ComparisonRow Row = comparisonRow(Run.Results, Name, M.Name, Scale::Ref);
+    std::printf("%s\n", Row.Benchmark.c_str());
+    asciiBar("hds", Row.HdsMissReduction, 40.0);
+    asciiBar("halo", Row.HaloMissReduction, 40.0);
+    asciiBar("hds", Row.HdsSpeedup, 40.0);
+    asciiBar("halo", Row.HaloSpeedup, 40.0);
+  }
+  return 0;
+}
+
+int runMachines() {
+  Report Table("Machine presets (sim/Machine.h)");
+  Table.setColumns({"machine", "geometry", "lat L1/L2/L3/mem/TLB",
+                    "description"});
+  for (const MachineConfig &M : machinePresets()) {
+    const LatencyModel &Lat = M.Hierarchy.Latency;
+    char LatBuf[64];
+    std::snprintf(LatBuf, sizeof(LatBuf), "%u/%u/%u/%u/%u", Lat.L1Hit,
+                  Lat.L2Hit, Lat.L3Hit, Lat.Memory, Lat.TlbMiss);
+    Table.addRow({M.Name, M.summary(), LatBuf, M.Description});
+  }
+  Table.addNote("default: " + defaultMachine().Name +
+                " (the paper's evaluation machine)");
+  Table.print();
+  return 0;
+}
+
+int runSweep(const CliOptions &Opts) {
+  // Default: every preset; --machine narrows the sweep to one. Cells come
+  // back benchmark-major, machine-major inside, kinds in jemalloc/hds/halo
+  // order.
+  std::vector<const MachineConfig *> Machines;
+  if (Opts.Machine.empty())
+    for (const MachineConfig &M : machinePresets())
+      Machines.push_back(&M);
+  else
+    Machines.push_back(&machineFor(Opts));
+  MeasuredPlan Run(Opts, comparisonSpec(Opts, std::move(Machines)));
+
+  std::vector<SweepRow> Rows = sweepRows(Run.Results);
+  sweepReport(Rows).print();
+  if (Run.Out != stdout) {
+    writeSweepJson(Run.Out, Rows);
+    closeOutput(Run.Out, Opts.OutPath,
+                " (" + std::to_string(Rows.size()) + " rows)");
+  }
+  return 0;
+}
+
+int runExperiments(const CliOptions &Opts) {
+  MeasuredPlan Run(Opts, matrixSpec(Opts));
+  const ExperimentPlan &Plan = Run.Plan;
+  if (Run.Out != stdout) {
     // With a file destination the console gets the human-readable view.
-    experimentsReport(Results).print();
+    experimentsReport(Run.Results).print();
     std::printf("plan: %zu cell(s), %zu recording(s), %zu artifact "
                 "task(s), %zu replay(s)",
                 Plan.cells().size(), Plan.numRecordings(),
@@ -659,9 +698,9 @@ int runExperiments(const CliOptions &Opts) {
                   Plan.numStoredRecordings(), Plan.numStoredArtifacts());
     std::printf("\n");
   }
-  writeExperimentsJson(Out, Results);
-  closeOutput(Out, Opts.OutPath,
-              " (" + std::to_string(Results.size()) + " cells)");
+  writeExperimentsJson(Run.Out, Run.Results);
+  closeOutput(Run.Out, Opts.OutPath,
+              " (" + std::to_string(Run.Results.size()) + " cells)");
   return 0;
 }
 
@@ -771,7 +810,8 @@ void writeTraceCounts(FILE *Out, const std::string &Benchmark,
 
 int runTrace(const CliOptions &Opts) {
   FILE *Out = openOutput(Opts.OutPath);
-  Evaluation Eval(setupFor(Opts));
+  // Recordings are setup- and machine-independent.
+  Evaluation Eval(paperSetup(Opts.Benchmark));
   if (!Opts.SavePath.empty()) {
     // Stream the recording to disk (never resident in full), then map the
     // file back: open() fully validates the image, so the counts below
@@ -931,32 +971,15 @@ int runClient(const CliOptions &Opts) {
   // client run: the experiments matrix, measured by the daemon. Names are
   // validated locally first (same registries) so typos fail with the
   // usage message instead of a protocol round trip.
+  ExperimentSpec Spec = matrixSpec(Opts);
   PlanRequest R;
-  R.Benchmarks = benchmarkList(Opts);
-  for (const std::string &Name : Opts.MachineList) {
-    if (Name == "all") {
-      for (const MachineConfig &M : machinePresets())
-        R.Machines.push_back(M.Name);
-      continue;
-    }
-    if (!findMachine(Name))
-      usageError("unknown machine '" + Name + "' in --machines (available: " +
-                 knownMachines() + " all)");
-    R.Machines.push_back(Name);
-  }
-  if (!Opts.KindList.empty()) {
-    R.Kinds.clear();
-    for (const std::string &Name : Opts.KindList) {
-      std::optional<AllocatorKind> Kind = parseAllocatorKind(Name);
-      if (!Kind)
-        usageError("unknown allocator kind '" + Name +
-                   "' in --kinds (available: " + knownKinds() + ")");
-      R.Kinds.push_back(*Kind);
-    }
-  }
-  R.S = Opts.S;
-  R.Trials = Opts.Trials;
-  R.SeedBase = Opts.SeedBase;
+  R.Benchmarks = Spec.Benchmarks;
+  for (const MachineConfig *M : Spec.Machines)
+    R.Machines.push_back(M->Name);
+  R.Kinds = Spec.Kinds;
+  R.S = Spec.S;
+  R.Trials = Spec.Trials;
+  R.SeedBase = Spec.SeedBase;
 
   // Open --out before submitting (fail fast on an unwritable path), but
   // only rename into place for a completed plan -- a cancelled or failed
@@ -1051,21 +1074,13 @@ static int runMain(const CliOptions &Opts) {
 
   // A 1x1x1 plan: same scheduler and emitter as the big sweeps; its
   // trials replay in parallel across --jobs workers.
-  std::optional<ArtifactStore> Store = openStore(Opts);
-  FILE *Out = openOutput(Opts.OutPath);
   ExperimentSpec Spec;
   Spec.Benchmarks = {Opts.Benchmark};
   Spec.Kinds = {Kind};
-  Spec.S = Scale::Ref;
   Spec.Trials = Opts.Trials;
-  Spec.MakeSetup = [&Opts](const std::string &Name) {
-    return setupFor(Opts, Name);
-  };
-  ExperimentPlan Plan = buildPlan({Spec}, {}, Store ? &*Store : nullptr);
-  ResultSet Results = runPlan(Plan, Opts.Jobs, ReplayMode::Auto, Opts.Traces);
-
-  writeRunsJson(Out, Opts.Benchmark, Opts.Command,
-                Results.cells().front().Runs);
-  closeOutput(Out, Opts.OutPath);
+  MeasuredPlan Run(Opts, Spec);
+  writeRunsJson(Run.Out, Opts.Benchmark, Opts.Command,
+                Run.Results.cells().front().Runs);
+  closeOutput(Run.Out, Opts.OutPath);
   return 0;
 }

@@ -7,7 +7,8 @@
 # run must emit byte-identical JSON, verify must pass. And each build
 # smoke-tests the serve daemon: two concurrent clients against one
 # daemon on a temp socket, each byte-identical to a local run, then a
-# clean client-initiated shutdown (exit 0, socket file gone).
+# clean client-initiated shutdown (exit 0, socket file gone). Before any
+# build, a grep guard keeps runPlan the one scheduler.
 #
 # Usage: scripts/ci.sh [build-dir [sanitize-build-dir]]
 #   build dirs default to build/ and build-asan/ at the repo root;
@@ -57,11 +58,32 @@ store_smoke() {
   "$build/examples/halo_cli" store verify --store-dir "$map_store"
 }
 
+# One scheduler: no parallelFor call and no Executor construction in
+# src/, bench/ or examples/ outside the pool itself, runPlan, and the serve
+# daemon. Every other multi-trial measurement is an ExperimentSpec run by
+# runPlan. Comment lines are ignored.
+scheduler_guard() {
+  local hits
+  hits="$(cd "$ROOT" && grep -rnE \
+      'parallelFor\(|\bExecutor[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*[({]|\bExecutor[[:space:]]*[({]|make_(unique|shared)<Executor>|new[[:space:]]+Executor\b' \
+      src bench examples |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+    grep -vE '^(src/support/Executor\.(h|cpp)|src/eval/Experiment\.cpp|src/serve/Server\.(h|cpp)):' ||
+    true)"
+  if [[ -n "$hits" ]]; then
+    echo "scheduler guard: parallel fan-out outside runPlan/HaloDaemon:" >&2
+    echo "$hits" >&2
+    return 1
+  fi
+}
+
 # The serve daemon end to end through halo_cli: a daemon on a per-run
 # temp socket serves two clients concurrently, each client's streamed
 # JSON must be byte-identical to a local `experiments` run of the same
 # spec ("served = local"), and a client-initiated shutdown must leave
-# exit 0 and no socket file behind.
+# exit 0 and no socket file behind. A third, sequential client names one
+# machine with --machine: both sides must measure it as a one-machine
+# matrix.
 serve_smoke() {
   local build="$1"
   local dir daemon_pid sock
@@ -100,11 +122,21 @@ serve_smoke() {
   cmp "$dir/local_a.json" "$dir/served_a.json"
   cmp "$dir/local_b.json" "$dir/served_b.json"
 
+  "$build/examples/halo_cli" experiments health --machine mobile \
+      --kinds jemalloc --scale test --trials 1 --out "$dir/local_c.json"
+  "$build/examples/halo_cli" client run health --socket "$sock" \
+      --machine mobile --kinds jemalloc --scale test --trials 1 \
+      --out "$dir/served_c.json"
+  cmp "$dir/local_c.json" "$dir/served_c.json"
+
   "$build/examples/halo_cli" client shutdown --socket "$sock"
   wait "$daemon_pid"
   daemon_pid=""
   [[ ! -e "$sock" ]]
 }
+
+echo "== one-scheduler guard =="
+scheduler_guard
 
 echo "== tier-1: Release build + ctest ($BUILD) =="
 cmake -B "$BUILD" -S "$ROOT"

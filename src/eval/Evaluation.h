@@ -83,15 +83,21 @@ struct BenchmarkSetup {
 /// xalanc: always-reuse; roms: at most 4 groups).
 BenchmarkSetup paperSetup(const std::string &Benchmark);
 
-/// One benchmark wired up for measurement.
+/// One benchmark wired up for measurement: the trace and artifact caches
+/// one measurement key replays against, and the single-run measure()
+/// primitives.
 ///
 /// Workload runs are recorded once per (scale, seed) into an event trace
 /// and every allocator configuration is measured by replaying that trace
 /// (bit-identical to direct execution; tests/trace_replay_test.cpp holds
-/// the invariant). Trials are independent and deterministic, so
-/// measureTrials can fan them out across worker threads.
+/// the invariant). An Evaluation schedules nothing itself: multi-trial,
+/// multi-kind, and multi-machine measurements are ExperimentSpecs run by
+/// runPlan (eval/Experiment.h), which fans this class's thread-safe
+/// caches out across one executor pool.
 class Evaluation {
 public:
+  /// Throws std::invalid_argument naming the benchmark if \p Setup.Name
+  /// is not a registered workload.
   explicit Evaluation(BenchmarkSetup Setup);
 
   /// The HALO pipeline output (profiled lazily, once, by replaying the
@@ -176,26 +182,10 @@ public:
   void setHaloArtifacts(HaloArtifacts Art);
   void setHdsArtifacts(HdsArtifacts Art);
 
-  /// Records the traces for \p Trials consecutive seeds starting at
-  /// \p SeedBase, fanned out across \p Jobs workers (0 = hardware
-  /// concurrency). Recording is the expensive half of a measurement
-  /// sweep; this is the explicit parallel warm-up measureTrials performs
-  /// before its (cheaper) replay fan-out. Already-cached keys cost one
-  /// map lookup.
-  void recordTraces(Scale S, int Trials, uint64_t SeedBase = 100,
-                    int Jobs = 0);
-
-  /// Materialises the HALO and HDS pipeline artifacts, profiling the two
-  /// pipelines as parallel executor tasks over the shared profile-scale
-  /// recording (they are independent and the trace cache is
-  /// thread-safe). After this, measure() is safe to call concurrently
-  /// for every allocator kind.
-  void prepareAllArtifacts(int Jobs = 0);
-
   /// Measures one configuration on one input by replaying the cached
-  /// trace, on the setup's machine. Safe to call concurrently once the
-  /// pipeline artifacts the kind needs exist (measureTrials materialises
-  /// them before fanning out).
+  /// trace, on the setup's machine. Thread-safe: the pipeline artifacts
+  /// the kind needs materialise once on first use (runPlan materialises
+  /// them as their own stage before its replays fan out).
   RunMetrics measure(AllocatorKind Kind, Scale S, uint64_t Seed);
 
   /// Same, on an explicit machine: the recorded trace is machine-
@@ -212,20 +202,6 @@ public:
   RunMetrics measureDirect(const MachineConfig &Machine, AllocatorKind Kind,
                            Scale S, uint64_t Seed);
 
-  /// Measures \p Trials runs with distinct seeds (the paper uses 11 trials
-  /// and reports medians; seeds stand in for run-to-run variation).
-  /// \p Jobs worker threads share the trials (0 = hardware concurrency);
-  /// results are bit-identical to the serial order regardless.
-  std::vector<RunMetrics> measureTrials(AllocatorKind Kind, Scale S,
-                                        int Trials, uint64_t SeedBase = 100,
-                                        int Jobs = 0);
-
-  /// Trial fan-out on an explicit machine.
-  std::vector<RunMetrics> measureTrials(const MachineConfig &Machine,
-                                        AllocatorKind Kind, Scale S,
-                                        int Trials, uint64_t SeedBase = 100,
-                                        int Jobs = 0);
-
   /// Median seconds / L1D misses / dTLB misses over a set of runs.
   static double medianSeconds(const std::vector<RunMetrics> &Runs);
   static double medianL1Misses(const std::vector<RunMetrics> &Runs);
@@ -239,15 +215,9 @@ private:
   RunMetrics measureWith(const MachineConfig &Machine, AllocatorKind Kind,
                          uint64_t Seed,
                          const std::function<void(Runtime &)> &Drive);
-  /// Materialises the artifacts \p Kind's measurement consults, so worker
-  /// threads only ever read them.
-  void prepareArtifacts(AllocatorKind Kind);
   /// Whether measure() replays (\p S, \p Seed) through the mapped path
   /// under the current trace mode.
   bool usesMappedReplay(Scale S, uint64_t Seed);
-  /// Caches and returns the recording for (\p S, \p Seed) in whichever
-  /// form the current mode measures it (measureTrials' warm-up stage).
-  void obtainTrace(Scale S, uint64_t Seed);
 
   BenchmarkSetup Setup;
   std::unique_ptr<Workload> W;
@@ -266,56 +236,6 @@ private:
   std::map<std::pair<int, uint64_t>, MappedTrace> MappedTraces;
   std::mutex TraceMutex;
 };
-
-/// One (machine, allocator kind) cell of a cross-machine sweep: all trial
-/// runs of one benchmark measured on one simulated machine.
-struct SweepCell {
-  const MachineConfig *Machine = nullptr;
-  AllocatorKind Kind = AllocatorKind::Jemalloc;
-  std::vector<RunMetrics> Runs;
-};
-
-/// Measures jemalloc / HDS / HALO trials for every machine in \p Machines
-/// against one Evaluation (halo_cli sweep's backing store). A thin
-/// wrapper over buildPlan/runPlan (eval/Experiment.h): the profile trace
-/// records once, the two pipelines materialise as parallel tasks,
-/// per-seed measurement traces record once across the pool, and the
-/// machine x kind cells replay at trial granularity over one executor.
-/// Cells come back machine-major in \p Machines order (kinds in
-/// jemalloc/hds/halo order), bit-identical to a serial sweep.
-std::vector<SweepCell>
-sweepMachines(Evaluation &Eval,
-              const std::vector<const MachineConfig *> &Machines, int Trials,
-              Scale S = Scale::Ref, uint64_t SeedBase = 100, int Jobs = 0);
-
-/// The data behind one bar pair of Figures 13/14.
-struct ComparisonRow {
-  std::string Benchmark;
-  double HdsMissReduction = 0.0;  ///< % L1D misses removed vs jemalloc.
-  double HaloMissReduction = 0.0;
-  double HdsSpeedup = 0.0;        ///< % execution time removed vs jemalloc.
-  double HaloSpeedup = 0.0;
-};
-
-/// Runs baseline, HDS, and HALO trials for \p Benchmark and reduces them to
-/// the paper's two headline percentages, measured on \p Machine. A thin
-/// wrapper over buildPlan/runPlan (eval/Experiment.h): every configuration
-/// replays the same once-recorded per-seed traces; \p Jobs fans the cells'
-/// trials out across worker threads (0 = hardware concurrency).
-ComparisonRow compareTechniques(const std::string &Benchmark, int Trials,
-                                Scale S = Scale::Ref, int Jobs = 0,
-                                const MachineConfig &Machine =
-                                    defaultMachine());
-
-/// compareTechniques over a benchmark list — halo_cli plot's backing
-/// store, a thin wrapper over one buildPlan/runPlan call whose replay
-/// stage spans benchmark x kind x trial tasks (finer than the old
-/// per-benchmark sharding, so short lists still fill the pool). Row order
-/// follows \p Benchmarks and every row is bit-identical to a serial run.
-std::vector<ComparisonRow>
-compareAcrossBenchmarks(const std::vector<std::string> &Benchmarks,
-                        int Trials, Scale S = Scale::Ref, int Jobs = 0,
-                        const MachineConfig &Machine = defaultMachine());
 
 } // namespace halo
 

@@ -23,10 +23,11 @@
 /// function of its key, so runPlan's output is bit-identical no matter how
 /// many workers ran (tests/experiment_test.cpp holds the invariant).
 ///
-/// sweepMachines, compareTechniques, and compareAcrossBenchmarks
-/// (eval/Evaluation.h) are thin wrappers over plans; the JSON and table
-/// emitters here are the single output path shared by halo_cli's run,
-/// sweep, and experiments subcommands.
+/// This is the only multi-trial measurement path: every halo_cli
+/// measuring command, figure bench, and served plan declares a spec and
+/// runs it here. The emitters at the bottom (run JSON, sweep rows,
+/// comparison rows, the experiments document) are the single output path
+/// over a ResultSet.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -400,6 +401,23 @@ void writeSweepJson(FILE *Out, const std::vector<SweepRow> &Rows);
 
 /// The `halo_cli sweep` table.
 Report sweepReport(const std::vector<SweepRow> &Rows);
+
+/// The data behind one bar pair of Figures 13/14.
+struct ComparisonRow {
+  std::string Benchmark;
+  double HdsMissReduction = 0.0;  ///< % L1D misses removed vs jemalloc.
+  double HaloMissReduction = 0.0;
+  double HdsSpeedup = 0.0;        ///< % execution time removed vs jemalloc.
+  double HaloSpeedup = 0.0;
+};
+
+/// Reduces \p Benchmark's jemalloc, HDS, and HALO cells on \p Machine (a
+/// MachineConfig name) at scale \p S to the paper's two headline
+/// percentages. Throws std::logic_error if \p Results lacks one of the
+/// three cells: an all-zero row would read as a genuine "no improvement".
+ComparisonRow comparisonRow(const ResultSet &Results,
+                            const std::string &Benchmark,
+                            const std::string &Machine, Scale S);
 
 /// The unified experiments JSON: one object per cell, keyed by the full
 /// measurement key, with medians and the per-run metrics.

@@ -234,12 +234,11 @@ void HaloDaemon::handleSubmit(const std::shared_ptr<ServeSession> &S,
     std::lock_guard<std::mutex> Lock(EvalsMu);
     for (const std::string &Name : R.Benchmarks) {
       auto It = Evals.find(Name);
-      if (It == Evals.end()) {
-        if (!createWorkload(Name))
-          throw std::invalid_argument("unknown benchmark '" + Name + "'");
+      // An unknown name throws from the Evaluation constructor, before
+      // the cache changes.
+      if (It == Evals.end())
         It = Evals.emplace(Name, std::make_unique<Evaluation>(paperSetup(Name)))
                  .first;
-      }
       External.push_back(It->second.get());
     }
   } catch (const std::exception &E) {

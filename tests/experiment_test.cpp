@@ -3,9 +3,9 @@
 // The plan contract: buildPlan expands specs into a deduplicated matrix
 // (benchmarks by name, cells by full key, recordings by (scale, seed)),
 // runPlan executes it bit-identically no matter how many workers ran, and
-// every cell equals what the pre-plan measureTrials path produces for the
-// same key -- which is what makes sweepMachines / compareTechniques /
-// compareAcrossBenchmarks safe as thin wrappers.
+// every cell equals what a serial loop of Evaluation::measure produces for
+// the same key -- the oracle behind every command and bench that now
+// declares a spec instead of scheduling its own trials.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 using namespace halo;
@@ -39,6 +40,17 @@ ExperimentSpec mixedSpec() {
   Spec.S = Scale::Test;
   Spec.Trials = 2;
   return Spec;
+}
+
+/// The serial oracle: \p Trials single measurements, seed 100 + T (the
+/// spec default SeedBase).
+std::vector<RunMetrics> serialRuns(Evaluation &Eval,
+                                   const MachineConfig &Machine,
+                                   AllocatorKind Kind, Scale S, int Trials) {
+  std::vector<RunMetrics> Runs;
+  for (int T = 0; T < Trials; ++T)
+    Runs.push_back(Eval.measure(Machine, Kind, S, 100 + T));
+  return Runs;
 }
 
 void expectSameRuns(const std::vector<RunMetrics> &A,
@@ -190,9 +202,8 @@ TEST(RunPlan, SerialMatchesParallelBitIdentically) {
 }
 
 TEST(RunPlan, EveryCellMatchesTheMeasureTrialsOracle) {
-  // The plan must measure exactly what the per-benchmark measureTrials
-  // path measures for the same key: this is what makes the wrapper
-  // conversions bit-identical to the pre-plan API.
+  // The plan must measure exactly what one-by-one measure() calls
+  // measure for the same key.
   ExperimentPlan Plan = buildPlan({mixedSpec()});
   ResultSet Results = runPlan(Plan, /*Jobs=*/2);
 
@@ -205,9 +216,8 @@ TEST(RunPlan, EveryCellMatchesTheMeasureTrialsOracle) {
         const ResultSet::Cell *Cell =
             Results.find(Name, MachineName, Kind, Scale::Test);
         ASSERT_NE(Cell, nullptr);
-        expectSameRuns(Cell->Runs,
-                       Oracle.measureTrials(*findMachine(MachineName), Kind,
-                                            Scale::Test, 2));
+        expectSameRuns(Cell->Runs, serialRuns(Oracle, *findMachine(MachineName),
+                                              Kind, Scale::Test, 2));
       }
   }
 }
@@ -225,8 +235,8 @@ TEST(RunPlan, EmptyMachineListUsesTheSetupMachine) {
   EXPECT_EQ(Results.cells()[0].Key.Machine, defaultMachine().Name);
   Evaluation Oracle(paperSetup("ft"));
   expectSameRuns(Results.cells()[0].Runs,
-                 Oracle.measureTrials(AllocatorKind::Jemalloc, Scale::Test,
-                                      2));
+                 serialRuns(Oracle, defaultMachine(), AllocatorKind::Jemalloc,
+                            Scale::Test, 2));
 }
 
 TEST(RunPlan, ExternalEvaluationBacksItsBenchmark) {
@@ -381,72 +391,6 @@ TEST(ResultSet, FindLocatesCellsByFullKey) {
 }
 
 //===----------------------------------------------------------------------===//
-// Wrappers
-//===----------------------------------------------------------------------===//
-
-TEST(Wrappers, SweepMachinesMatchesManualMeasureTrials) {
-  std::vector<const MachineConfig *> Machines = {findMachine("mobile"),
-                                                 findMachine("server")};
-  Evaluation Eval(paperSetup("ft"));
-  std::vector<SweepCell> Cells =
-      sweepMachines(Eval, Machines, /*Trials=*/2, Scale::Test,
-                    /*SeedBase=*/100, /*Jobs=*/2);
-
-  ASSERT_EQ(Cells.size(), 6u);
-  const AllocatorKind KindOrder[] = {AllocatorKind::Jemalloc,
-                                     AllocatorKind::Hds,
-                                     AllocatorKind::Halo};
-  Evaluation Oracle(paperSetup("ft"));
-  for (size_t C = 0; C < Cells.size(); ++C) {
-    SCOPED_TRACE("cell " + std::to_string(C));
-    EXPECT_EQ(Cells[C].Machine, Machines[C / 3]);
-    EXPECT_EQ(Cells[C].Kind, KindOrder[C % 3]);
-    expectSameRuns(Cells[C].Runs,
-                   Oracle.measureTrials(*Machines[C / 3], KindOrder[C % 3],
-                                        Scale::Test, 2));
-  }
-}
-
-TEST(Wrappers, CompareTechniquesMatchesManualComputation) {
-  const MachineConfig &Machine = *findMachine("mobile");
-  ComparisonRow Row =
-      compareTechniques("health", /*Trials=*/2, Scale::Test, /*Jobs=*/2,
-                        Machine);
-
-  // The pre-plan construction, verbatim: one Evaluation whose setup
-  // machine is the comparison machine, three measureTrials blocks.
-  BenchmarkSetup Setup = paperSetup("health");
-  Setup.Machine = Machine;
-  Evaluation Eval(std::move(Setup));
-  auto Base = Eval.measureTrials(AllocatorKind::Jemalloc, Scale::Test, 2);
-  auto Hds = Eval.measureTrials(AllocatorKind::Hds, Scale::Test, 2);
-  auto Halo = Eval.measureTrials(AllocatorKind::Halo, Scale::Test, 2);
-
-  EXPECT_EQ(Row.Benchmark, "health");
-  EXPECT_DOUBLE_EQ(Row.HdsMissReduction,
-                   percentImprovement(Evaluation::medianL1Misses(Base),
-                                      Evaluation::medianL1Misses(Hds)));
-  EXPECT_DOUBLE_EQ(Row.HaloMissReduction,
-                   percentImprovement(Evaluation::medianL1Misses(Base),
-                                      Evaluation::medianL1Misses(Halo)));
-  EXPECT_DOUBLE_EQ(Row.HdsSpeedup,
-                   percentImprovement(Evaluation::medianSeconds(Base),
-                                      Evaluation::medianSeconds(Hds)));
-  EXPECT_DOUBLE_EQ(Row.HaloSpeedup,
-                   percentImprovement(Evaluation::medianSeconds(Base),
-                                      Evaluation::medianSeconds(Halo)));
-}
-
-TEST(Wrappers, CompareAcrossBenchmarksRepeatsDuplicateRows) {
-  auto Rows = compareAcrossBenchmarks({"ft", "ft"}, /*Trials=*/2,
-                                      Scale::Test, /*Jobs=*/1);
-  ASSERT_EQ(Rows.size(), 2u);
-  EXPECT_EQ(Rows[0].Benchmark, "ft");
-  EXPECT_DOUBLE_EQ(Rows[0].HaloSpeedup, Rows[1].HaloSpeedup);
-  EXPECT_DOUBLE_EQ(Rows[0].HdsMissReduction, Rows[1].HdsMissReduction);
-}
-
-//===----------------------------------------------------------------------===//
 // Emitters
 //===----------------------------------------------------------------------===//
 
@@ -525,4 +469,54 @@ TEST(Emitters, ExperimentsJsonCarriesTheFullMeasurementKey) {
   EXPECT_NE(Json.find("\"seed_base\": 7"), std::string::npos);
   EXPECT_NE(Json.find("\"median_seconds\""), std::string::npos);
   EXPECT_NE(Json.find("\"runs\""), std::string::npos);
+}
+
+TEST(ComparisonRow, MatchesManualComputation) {
+  ExperimentSpec Spec;
+  Spec.Benchmarks = {"health"};
+  Spec.Machines = {preset("mobile")};
+  Spec.S = Scale::Test;
+  Spec.Trials = 2;
+  ExperimentPlan Plan = buildPlan({Spec});
+  ResultSet Results = runPlan(Plan, /*Jobs=*/2);
+  ComparisonRow Row = comparisonRow(Results, "health", "mobile", Scale::Test);
+
+  Evaluation Eval(paperSetup("health"));
+  const MachineConfig &Mobile = *preset("mobile");
+  auto Base = serialRuns(Eval, Mobile, AllocatorKind::Jemalloc, Scale::Test, 2);
+  auto Hds = serialRuns(Eval, Mobile, AllocatorKind::Hds, Scale::Test, 2);
+  auto Halo = serialRuns(Eval, Mobile, AllocatorKind::Halo, Scale::Test, 2);
+
+  EXPECT_EQ(Row.Benchmark, "health");
+  EXPECT_DOUBLE_EQ(Row.HdsMissReduction,
+                   percentImprovement(Evaluation::medianL1Misses(Base),
+                                      Evaluation::medianL1Misses(Hds)));
+  EXPECT_DOUBLE_EQ(Row.HaloMissReduction,
+                   percentImprovement(Evaluation::medianL1Misses(Base),
+                                      Evaluation::medianL1Misses(Halo)));
+  EXPECT_DOUBLE_EQ(Row.HdsSpeedup,
+                   percentImprovement(Evaluation::medianSeconds(Base),
+                                      Evaluation::medianSeconds(Hds)));
+  EXPECT_DOUBLE_EQ(Row.HaloSpeedup,
+                   percentImprovement(Evaluation::medianSeconds(Base),
+                                      Evaluation::medianSeconds(Halo)));
+}
+
+TEST(ComparisonRow, HonoursTheMachineArgument) {
+  ExperimentSpec Spec;
+  Spec.Benchmarks = {"health"};
+  Spec.Machines = {preset("xeon-w2195"), preset("mobile")};
+  Spec.S = Scale::Test;
+  Spec.Trials = 2;
+  ExperimentPlan Plan = buildPlan({Spec});
+  ResultSet Results = runPlan(Plan, /*Jobs=*/1);
+  // Different hardware, different headline numbers (the whole point of
+  // cross-machine sweeps).
+  EXPECT_NE(comparisonRow(Results, "health", "mobile", Scale::Test)
+                .HaloSpeedup,
+            comparisonRow(Results, "health", "xeon-w2195", Scale::Test)
+                .HaloSpeedup);
+  // A machine the plan never measured is a lookup error, not a zero row.
+  EXPECT_THROW(comparisonRow(Results, "health", "server", Scale::Test),
+               std::logic_error);
 }

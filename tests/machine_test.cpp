@@ -279,93 +279,3 @@ TEST(MachineMeasurement, SetupMachineIsTheMeasurementKey) {
   // And a different machine is a different experiment.
   EXPECT_NE(OnMobile.Mem.StallCycles, OnDefault.Mem.StallCycles);
 }
-
-TEST(MachineMeasurement, TrialsFanOutPerMachineBitIdentically) {
-  Evaluation Eval(paperSetup("ft"));
-  const MachineConfig &Server = *findMachine("server");
-  auto Serial = Eval.measureTrials(Server, AllocatorKind::Jemalloc,
-                                   Scale::Test, 4, 100, /*Jobs=*/1);
-  auto Parallel = Eval.measureTrials(Server, AllocatorKind::Jemalloc,
-                                     Scale::Test, 4, 100, /*Jobs=*/3);
-  ASSERT_EQ(Serial.size(), Parallel.size());
-  for (size_t T = 0; T < Serial.size(); ++T) {
-    EXPECT_EQ(Serial[T].Cycles, Parallel[T].Cycles) << "trial " << T;
-    EXPECT_EQ(Serial[T].Mem.L1Misses, Parallel[T].Mem.L1Misses)
-        << "trial " << T;
-  }
-}
-
-TEST(MachineMeasurement, SweepMachinesParallelMatchesSerial) {
-  // The cross-machine sweep (halo_cli sweep's backing store) fans the
-  // per-machine loop over the executor; every cell must be bit-identical
-  // to the serial sweep, machine-major in request order.
-  std::vector<const MachineConfig *> Machines = {findMachine("xeon-w2195"),
-                                                 findMachine("mobile"),
-                                                 findMachine("server")};
-  Evaluation SerialEval(paperSetup("health"));
-  auto Serial = sweepMachines(SerialEval, Machines, /*Trials=*/2,
-                              Scale::Test, /*SeedBase=*/100, /*Jobs=*/1);
-  Evaluation ParallelEval(paperSetup("health"));
-  auto Parallel = sweepMachines(ParallelEval, Machines, /*Trials=*/2,
-                                Scale::Test, /*SeedBase=*/100, /*Jobs=*/4);
-
-  ASSERT_EQ(Serial.size(), Machines.size() * 3);
-  ASSERT_EQ(Parallel.size(), Serial.size());
-  const AllocatorKind KindOrder[] = {AllocatorKind::Jemalloc,
-                                     AllocatorKind::Hds, AllocatorKind::Halo};
-  for (size_t C = 0; C < Serial.size(); ++C) {
-    SCOPED_TRACE("cell " + std::to_string(C));
-    EXPECT_EQ(Serial[C].Machine, Machines[C / 3]);
-    EXPECT_EQ(Parallel[C].Machine, Machines[C / 3]);
-    EXPECT_EQ(Serial[C].Kind, KindOrder[C % 3]);
-    ASSERT_EQ(Serial[C].Runs.size(), 2u);
-    ASSERT_EQ(Parallel[C].Runs.size(), 2u);
-    for (size_t T = 0; T < Serial[C].Runs.size(); ++T) {
-      EXPECT_EQ(Serial[C].Runs[T].Cycles, Parallel[C].Runs[T].Cycles);
-      EXPECT_EQ(Serial[C].Runs[T].Mem.L1Misses,
-                Parallel[C].Runs[T].Mem.L1Misses);
-      EXPECT_EQ(Serial[C].Runs[T].Mem.TlbMisses,
-                Parallel[C].Runs[T].Mem.TlbMisses);
-      EXPECT_DOUBLE_EQ(Serial[C].Runs[T].Seconds,
-                       Parallel[C].Runs[T].Seconds);
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Benchmark-sharded comparisons (halo_cli plot's backing store)
-//===----------------------------------------------------------------------===//
-
-TEST(CompareAcrossBenchmarks, ShardedRowsMatchSerialRows) {
-  const std::vector<std::string> Names = {"ft", "health"};
-  auto Serial =
-      compareAcrossBenchmarks(Names, /*Trials=*/2, Scale::Test, /*Jobs=*/1);
-  auto Sharded =
-      compareAcrossBenchmarks(Names, /*Trials=*/2, Scale::Test, /*Jobs=*/2);
-  ASSERT_EQ(Serial.size(), Names.size());
-  ASSERT_EQ(Sharded.size(), Names.size());
-  for (size_t B = 0; B < Names.size(); ++B) {
-    EXPECT_EQ(Serial[B].Benchmark, Names[B]);
-    EXPECT_EQ(Sharded[B].Benchmark, Names[B]);
-    EXPECT_DOUBLE_EQ(Serial[B].HaloMissReduction,
-                     Sharded[B].HaloMissReduction);
-    EXPECT_DOUBLE_EQ(Serial[B].HdsMissReduction,
-                     Sharded[B].HdsMissReduction);
-    EXPECT_DOUBLE_EQ(Serial[B].HaloSpeedup, Sharded[B].HaloSpeedup);
-    EXPECT_DOUBLE_EQ(Serial[B].HdsSpeedup, Sharded[B].HdsSpeedup);
-  }
-}
-
-TEST(CompareAcrossBenchmarks, HonoursTheMachineArgument) {
-  auto OnMobile = compareAcrossBenchmarks({"health"}, /*Trials=*/2,
-                                          Scale::Test, /*Jobs=*/1,
-                                          *findMachine("mobile"));
-  auto OnDefault =
-      compareAcrossBenchmarks({"health"}, /*Trials=*/2, Scale::Test,
-                              /*Jobs=*/1);
-  ASSERT_EQ(OnMobile.size(), 1u);
-  ASSERT_EQ(OnDefault.size(), 1u);
-  // Different hardware, different headline numbers (the whole point of
-  // cross-machine sweeps).
-  EXPECT_NE(OnMobile[0].HaloSpeedup, OnDefault[0].HaloSpeedup);
-}

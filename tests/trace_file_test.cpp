@@ -542,23 +542,6 @@ TEST(TraceModeEval, MappedMeasurementsMatchTheMemoryOracle) {
   EXPECT_TRUE(Mapped.hasMappedTrace(Scale::Test, 7));
 }
 
-TEST(TraceModeEval, ParallelTrialsMatchSerialUnderMappedReplay) {
-  Evaluation Memory(paperSetup("health"));
-  Evaluation Mapped(paperSetup("health"));
-  Mapped.setTraceMode(TraceMode::Mapped);
-  auto Oracle = Memory.measureTrials(AllocatorKind::Jemalloc, Scale::Test, 4,
-                                     100, /*Jobs=*/1);
-  for (int Jobs : {1, 4}) {
-    auto Trials = Mapped.measureTrials(AllocatorKind::Jemalloc, Scale::Test,
-                                       4, 100, Jobs);
-    ASSERT_EQ(Trials.size(), Oracle.size());
-    for (size_t T = 0; T < Trials.size(); ++T)
-      expectSameMetrics(Oracle[T], Trials[T],
-                        "jobs " + std::to_string(Jobs) + " trial " +
-                            std::to_string(T));
-  }
-}
-
 TEST(TraceModeEval, RecordTraceFileWritesAValidImage) {
   Evaluation Eval(paperSetup("ft"));
   TempFile File;
